@@ -14,10 +14,15 @@ with ``EXPERIMENTS.md`` and with the paper.
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
 from repro.experiments import ExperimentScale
+
+# The decode benchmarks check against the test suite's brute-force oracles
+# (tests/oracles.py).
+sys.path.append(os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "0") not in ("0", "", "false", "False")
 

@@ -119,13 +119,18 @@ def _seed_scale_exactness() -> dict:
     Trainer(model, task, TrainingConfig(epochs=scale.epochs, eval_every=0,
                                         seed=scale.seed)).fit()
     n_clusters = 6
-    exhaustive = model.similarity(decode="blockwise", k=10, block_size=17)
-    complete = model.similarity(
-        candidates="ivf", k=10, block_size=17,
-        ann=AnnConfig(seed=0, n_clusters=n_clusters, nprobe=n_clusters))
-    escalated = model.similarity(
-        candidates="ivf", k=10, block_size=17,
-        ann=AnnConfig(seed=0, n_clusters=n_clusters, exact_escalation=True))
+    source, target = model.decode_states()
+    exhaustive = blockwise_topk(source, target, k=10, block_size=17)
+    complete = blockwise_topk(
+        source, target, k=10, block_size=17,
+        row_candidates=generate_candidates(
+            "ivf", source, target,
+            AnnConfig(seed=0, n_clusters=n_clusters, nprobe=n_clusters)))
+    escalated = blockwise_topk(
+        source, target, k=10, block_size=17,
+        row_candidates=generate_candidates(
+            "ivf", source, target,
+            AnnConfig(seed=0, n_clusters=n_clusters, exact_escalation=True)))
     return {"exhaustive": exhaustive, "complete": complete,
             "escalated": escalated}
 

@@ -27,6 +27,7 @@ from repro.eval.metrics import evaluate_alignment
 from repro.experiments import build_task
 
 from conftest import BENCH_SCALE
+from oracles import reference_similarity
 
 DECODE_ENTITIES = 10_000
 #: Any dense similarity matrix bigger than this many cells fails the guard.
@@ -130,9 +131,9 @@ def _seed_scale_decode_comparison() -> dict:
 
     comparisons = {}
     for use_propagation in (True, False):
-        dense = model.similarity(use_propagation=use_propagation, decode="dense")
-        topk = model.similarity(use_propagation=use_propagation,
-                                decode="blockwise", k=10, block_size=17)
+        states = model.decode_states(use_propagation=use_propagation)
+        dense = reference_similarity(*states)
+        topk = blockwise_topk(*states, k=10, block_size=17)
         comparisons[use_propagation] = (dense, topk)
     return {"task": task, "comparisons": comparisons}
 

@@ -32,6 +32,7 @@ from repro.kg.sparse import dirichlet_energy_edges
 from repro.nn import AdamW
 
 from conftest import BENCH_SCALE
+from oracles import reference_similarity
 
 SCALING_ENTITIES = 5000
 DENSE_GUARD_THRESHOLD = 1000
@@ -150,7 +151,7 @@ def _seed_scale_metrics(backend: str) -> tuple[dict[str, float], np.ndarray]:
                                           seed=scale.seed, backend=backend))
     result = Trainer(model, task, TrainingConfig(
         epochs=scale.epochs, eval_every=0, seed=scale.seed)).fit()
-    return result.metrics.as_dict(), model.similarity()
+    return result.metrics.as_dict(), reference_similarity(*model.decode_states())
 
 
 def test_sparse_backend_matches_dense_on_seed_grid(benchmark):

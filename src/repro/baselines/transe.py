@@ -12,8 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from ..core.compat import warn_legacy
-from ..core.similarity import decode_similarity
 from ..core.task import PreparedTask
 from ..nn import Module, Parameter, init
 
@@ -34,7 +32,6 @@ class TransE(Module):
         self.alignment_weight = alignment_weight
         rng = np.random.default_rng(seed)
         self._rng = rng
-        self._seed = seed
         scale = 1.0 / np.sqrt(hidden_dim)
         self.source_entities = Parameter(
             rng.uniform(-scale, scale, size=(task.source.num_entities, hidden_dim)))
@@ -87,29 +84,10 @@ class TransE(Module):
                       ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Evaluation states feeding the decode (single round, entity tables).
 
-        ``use_propagation`` is ignored (TransE has no propagation decoder),
-        matching :meth:`similarity`.
+        ``use_propagation`` is ignored (TransE has no propagation decoder).
         """
         del use_propagation
         if encode != "full":
             raise ValueError("TransE only supports encode='full'")
         with no_grad():
             return ([self.source_entities.numpy()], [self.target_entities.numpy()])
-
-    def similarity(self, use_propagation: bool = False, decode: str = "auto",
-                   k: int = 10, block_size: int | None = None,
-                   candidates: str = "exhaustive", ann=None):
-        if decode != "auto" or candidates != "exhaustive":
-            warn_legacy(
-                f"TransE.similarity(decode={decode!r}, candidates={candidates!r})",
-                f"declare DecodeSpec(decode={decode!r}, candidates={candidates!r}) "
-                "in PipelineSpec.decode and call Aligner.align() / "
-                "Aligner.evaluate()")
-        [source], [target] = self.decode_states()
-        if candidates != "exhaustive":
-            from ..core.ann import resolve_ann
-
-            ann = resolve_ann(ann, self._seed)
-        return decode_similarity(source, target, decode=decode, k=k,
-                                 block_size=block_size, candidates=candidates,
-                                 ann=ann)

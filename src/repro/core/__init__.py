@@ -1,7 +1,6 @@
 """DESAlign core: configuration, encoder, losses, propagation, model and trainer."""
 
 from . import rules
-from .compat import in_spec_context, spec_driven, warn_legacy
 from .registries import (
     CANDIDATE_REGISTRY,
     MODEL_REGISTRY,
@@ -40,13 +39,7 @@ from .ann import (
 )
 from .store import EmbeddingStore, MissingStoreError, StoreError
 from .sharded import shard_boundaries
-from .similarity import (
-    TopKSimilarity,
-    blockwise_topk,
-    decode_similarity,
-    resolve_candidates,
-    resolve_decode,
-)
+from .similarity import TopKSimilarity, blockwise_topk
 from .alignment import cosine_similarity, csls_similarity, mutual_nearest_pairs, greedy_one_to_one
 from .energy import EnergyMonitor, EnergySnapshot, verify_layer_bounds
 from .model import DESAlign
@@ -62,9 +55,6 @@ from .trainer import (
 
 __all__ = [
     "rules",
-    "spec_driven",
-    "in_spec_context",
-    "warn_legacy",
     "CANDIDATE_REGISTRY",
     "MODEL_REGISTRY",
     "TRAINING_LOOP_REGISTRY",
@@ -107,9 +97,6 @@ __all__ = [
     "shard_boundaries",
     "TopKSimilarity",
     "blockwise_topk",
-    "decode_similarity",
-    "resolve_candidates",
-    "resolve_decode",
     "cosine_similarity",
     "csls_similarity",
     "mutual_nearest_pairs",

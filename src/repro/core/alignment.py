@@ -109,9 +109,8 @@ def greedy_one_to_one(similarity: np.ndarray) -> list[tuple[int, int]]:
     if isinstance(similarity, TopKSimilarity):
         raise TypeError(
             "greedy_one_to_one needs the full matrix (any source may have to "
-            "fall back past its top-k once targets are taken); decode with "
-            "decode='dense' or materialise a small decode via "
-            "TopKSimilarity.dense()")
+            "fall back past its top-k once targets are taken); materialise "
+            "a small decode via TopKSimilarity.dense()")
     similarity = np.asarray(similarity, dtype=np.float64)
     num_source, num_target = similarity.shape
     need = min(num_source, num_target)

@@ -13,13 +13,10 @@ import numpy as np
 from ..autograd import no_grad
 from ..kg.sampling import NeighbourSampler, SubgraphView, attention_pattern
 from ..nn import Module
-from .compat import warn_legacy
 from .config import DEFAULT_ENCODE_BATCH, DESAlignConfig
 from .encoder import EncoderOutput, MultiModalEncoder
 from .losses import LossBreakdown, MultiModalSemanticLoss
-from .propagation import PropagationResult, SemanticPropagation
-from .ann import AnnConfig, generate_candidates, resolve_ann
-from .similarity import TopKSimilarity, blockwise_topk, resolve_candidates, resolve_decode
+from .propagation import SemanticPropagation
 from .task import PreparedTask
 
 __all__ = ["DESAlign"]
@@ -208,30 +205,21 @@ class DESAlign(Module):
         target_mask[consistent_target] = True
         return source_mask, target_mask
 
-    def decode(self, use_propagation: bool = True, encode: str = "full",
-               encode_batch_size: int | None = None) -> PropagationResult:
-        """Produce the pairwise similarity matrix ``Ω`` (Algorithm 1, line 15)."""
-        source_embeddings, target_embeddings = self._evaluation_embeddings(
-            encode=encode, encode_batch_size=encode_batch_size)
-        source_known, target_known = self.propagation_masks()
-        decoder = self.propagation if use_propagation else SemanticPropagation(iterations=0)
-        return decoder(
-            source_embeddings, target_embeddings,
-            self.task.source.adjacency, self.task.target.adjacency,
-            source_known=source_known, target_known=target_known,
-        )
-
     def decode_states(self, use_propagation: bool = True, encode: str = "full",
                       encode_batch_size: int | None = None
                       ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-round evaluation states feeding the streaming decode.
+        """Per-round evaluation states: the decode input (Algorithm 1, line 15).
 
         One entry per Semantic Propagation round (a single entry without
         propagation, or when the config decodes from the last round only);
-        the cosine similarities of the per-round states, averaged, are
-        exactly what :meth:`decode` materialises densely.  This is the
+        the cosine similarities of the per-round states, averaged, are the
+        decoding similarity ``Ω``, which
+        :func:`~repro.core.similarity.blockwise_topk` streams.  This is the
         cacheable artefact the :class:`~repro.pipeline.Aligner` persists —
         decoding any ``k`` from the same states is bit-reproducible.
+        ``encode="sampled"`` computes the evaluation embeddings through
+        batched subgraph forwards, so no stage touches the full graph at
+        once.
         """
         source_embeddings, target_embeddings = self._evaluation_embeddings(
             encode=encode, encode_batch_size=encode_batch_size)
@@ -248,85 +236,3 @@ class DESAlign(Module):
             source_states = [source_embeddings]
             target_states = [target_embeddings]
         return source_states, target_states
-
-    def decode_topk(self, use_propagation: bool = True, k: int = 10,
-                    block_size: int | None = None, dtype=np.float64,
-                    columns: np.ndarray | None = None, encode: str = "full",
-                    encode_batch_size: int | None = None,
-                    candidates: str = "exhaustive",
-                    ann: AnnConfig | None = None,
-                    ann_warm_start=None) -> TopKSimilarity:
-        """Streaming blockwise decode: exact top-``k`` neighbours per entity.
-
-        Runs the same Semantic Propagation rounds as :meth:`decode` but
-        streams the round-averaged similarity in source-row blocks, so peak
-        memory is ``O(block · n_t)`` instead of the ``O(n_s · n_t)`` the
-        dense decoder needs per round.  ``encode="sampled"`` additionally
-        computes the evaluation embeddings through batched subgraph
-        forwards, so no stage touches the full graph at once.
-        ``candidates="ivf" | "lsh"`` restricts the stream to approximate
-        candidate sets generated over the (round-concatenated) evaluation
-        embeddings, dropping decode FLOPs below ``O(n_s · n_t)`` (see
-        :mod:`repro.core.ann`).  ``ann_warm_start`` optionally carries an
-        :class:`~repro.core.ann.IVFWarmStart` across repeated decodes so
-        the IVF quantiser re-fits from the previous centroids (the
-        iterative trainer's per-round pseudo-seed decodes).
-        """
-        source_states, target_states = self.decode_states(
-            use_propagation=use_propagation, encode=encode,
-            encode_batch_size=encode_batch_size)
-        row_candidates = None
-        if candidates != "exhaustive":
-            row_candidates = generate_candidates(
-                candidates, source_states, target_states,
-                resolve_ann(ann, self.config.seed),
-                warm_start=ann_warm_start)
-        return blockwise_topk(source_states, target_states, k=k,
-                              block_size=block_size, dtype=dtype, columns=columns,
-                              row_candidates=row_candidates)
-
-    def similarity(self, use_propagation: bool = True, decode: str = "auto",
-                   k: int = 10, block_size: int | None = None,
-                   dtype=np.float64, encode: str = "full",
-                   encode_batch_size: int | None = None,
-                   candidates: str = "exhaustive",
-                   ann: AnnConfig | None = None,
-                   ann_warm_start=None):
-        """Decoding similarity ``Ω`` used for evaluation.
-
-        ``decode="dense"`` returns the full source×target matrix (the
-        original formulation); ``decode="blockwise"`` returns a streaming
-        :class:`TopKSimilarity` that every evaluation / CSLS / mutual-NN
-        consumer accepts; ``"auto"`` (default) stays dense below
-        :data:`~repro.core.similarity.DENSE_DECODE_CELL_LIMIT` cells and
-        switches to blockwise above it.  ``encode="sampled"`` computes the
-        evaluation embeddings with batched subgraph forwards instead of one
-        full-graph pass (the neighbour-sampled training pipeline's decode).
-        ``candidates="ivf" | "lsh"`` forces the blockwise path and restricts
-        it to approximate candidate sets (incompatible with an explicit
-        ``decode="dense"``).
-
-        Tuning these switches per call is the legacy API: outside the
-        facade's own plumbing, non-default values emit a
-        ``DeprecationWarning`` pointing at the spec-equivalent
-        :class:`~repro.pipeline.DecodeSpec`.
-        """
-        if decode != "auto" or candidates != "exhaustive" or encode != "full":
-            warn_legacy(
-                f"DESAlign.similarity(decode={decode!r}, encode={encode!r}, "
-                f"candidates={candidates!r})",
-                f"declare DecodeSpec(decode={decode!r}, encode={encode!r}, "
-                f"candidates={candidates!r}) in PipelineSpec.decode and call "
-                "Aligner.align() / Aligner.evaluate()")
-        resolve_candidates(candidates, decode)
-        shape = (self.task.source.num_entities, self.task.target.num_entities)
-        if candidates == "exhaustive" and resolve_decode(decode, shape) == "dense":
-            return self.decode(
-                use_propagation=use_propagation, encode=encode,
-                encode_batch_size=encode_batch_size,
-            ).final_similarity(average=self.config.propagation_average)
-        return self.decode_topk(use_propagation=use_propagation, k=k,
-                                block_size=block_size, dtype=dtype, encode=encode,
-                                encode_batch_size=encode_batch_size,
-                                candidates=candidates, ann=ann,
-                                ann_warm_start=ann_warm_start)

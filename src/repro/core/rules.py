@@ -22,7 +22,6 @@ __all__ = [
     "check_sampling_method",
     "check_candidates_method",
     "check_ranking_method",
-    "check_candidates_decode",
     "check_iterative_candidates",
     "check_patience_cadence",
     "check_ranking_candidates",
@@ -43,8 +42,13 @@ def check_backend(backend: str, allow_auto: bool = False) -> None:
 
 
 def check_decode_method(decode: str) -> None:
-    if decode not in {"dense", "blockwise", "auto"}:
-        raise ValueError("decode must be 'dense', 'blockwise' or 'auto'")
+    """``"auto"`` and ``"blockwise"`` both name the one streaming decode."""
+    if decode == "dense":
+        raise ValueError(
+            "decode='dense' was removed: every decode streams through "
+            "blockwise_topk with exact ranks; use decode='auto' or 'blockwise'")
+    if decode not in {"blockwise", "auto"}:
+        raise ValueError("decode must be 'auto' or 'blockwise'")
 
 
 def check_encode_method(encode: str) -> None:
@@ -76,14 +80,6 @@ def check_ranking_method(ranking: str) -> None:
 # ---------------------------------------------------------------------------
 # Cross-field rules
 # ---------------------------------------------------------------------------
-def check_candidates_decode(candidates: str, decode: str) -> None:
-    """Candidate generation exists only on the streaming decode path."""
-    if candidates != "exhaustive" and decode == "dense":
-        raise ValueError(
-            f"candidates={candidates!r} restricts the streaming decode and is "
-            "incompatible with decode='dense'; use decode='blockwise' or 'auto'")
-
-
 def check_iterative_candidates(iterative: bool, candidates: str) -> None:
     """Pseudo-seeding needs a provably exact top-1, which LSH cannot offer."""
     if iterative and candidates == "lsh":

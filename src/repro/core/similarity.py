@@ -1,10 +1,12 @@
-"""Blockwise (streaming) top-k similarity decoding.
+"""Blockwise (streaming) top-k similarity decoding — the repository's one decode.
 
-Every decode path of this repository — evaluation (H@k / MRR), CSLS hubness
-correction and the mutual-nearest-neighbour bootstrapping of the iterative
-training strategy — only ever needs each entity's ``k`` nearest cross-graph
-neighbours, never the full ``n_s x n_t`` similarity matrix.  This module
-provides a block-partitioned matmul engine that walks source rows in
+Every decode of this repository — evaluation (H@k / MRR), CSLS hubness
+correction, the mutual-nearest-neighbour bootstrapping of the iterative
+training strategy and the artifact's ``align``/``rank`` queries — runs
+through :func:`blockwise_topk` on a model's ``decode_states()``, and only
+ever needs each entity's ``k`` nearest cross-graph neighbours, never the
+full ``n_s x n_t`` similarity matrix.  This module provides a
+block-partitioned matmul engine that walks source rows in
 configurable chunks and, per block, reduces immediately to
 
 * the exact top-``k`` neighbours and scores of every source row
@@ -19,11 +21,11 @@ falls outside the stored top-``k``.
 
 Semantic Propagation decoding averages per-round cosine similarities
 (Algorithm 1, line 15); the engine therefore accepts *lists* of embedding
-states and streams the round-averaged similarity block by block, which is
-exactly the quantity the dense decoder materialises.
-
-With ``dtype=np.float64`` (the default) the streamed values are the same
-BLAS products the dense path computes, so metrics agree to ~1e-12;
+states and streams the round-averaged similarity block by block.  Rows are
+normalised as ``SemanticPropagation.__call__`` normalises them
+(``x / max(‖x‖, 1e-12)``) and rounds are summed in the same order, so with
+``dtype=np.float64`` (the default) a decode of at most ``block_size``
+source rows computes the same single GEMM as that dense matrix.
 ``dtype=np.float32`` halves memory and roughly doubles throughput for large
 decodes at a small accuracy cost (normalisation always happens in float64,
 once, up front).
@@ -35,14 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rules
-from .ann import (
-    AnnConfig,
-    RowCandidates,
-    _normalize_rows,
-    count_dot_products,
-    generate_candidates,
-)
+from .ann import RowCandidates, _normalize_rows, count_dot_products
 
 __all__ = [
     "TopKSimilarity",
@@ -52,65 +47,11 @@ __all__ = [
     "compute_partial_topk_candidates",
     "merge_partials",
     "merge_partial_topk",
-    "decode_similarity",
-    "resolve_decode",
-    "resolve_candidates",
     "DEFAULT_BLOCK_SIZE",
-    "DENSE_DECODE_CELL_LIMIT",
 ]
 
 #: Source rows per streamed block.
 DEFAULT_BLOCK_SIZE = 1024
-
-#: ``decode="auto"`` stays dense up to this many similarity-matrix cells
-#: (4M float64 cells = 32 MB); larger decodes switch to blockwise top-k.
-DENSE_DECODE_CELL_LIMIT = 4_000_000
-
-
-def resolve_decode(decode: str, shape: tuple[int, int],
-                   cell_limit: int = DENSE_DECODE_CELL_LIMIT) -> str:
-    """Resolve a ``"dense" | "blockwise" | "auto"`` switch for a decode shape."""
-    rules.check_decode_method(decode)
-    if decode != "auto":
-        return decode
-    return "dense" if shape[0] * shape[1] <= cell_limit else "blockwise"
-
-
-def resolve_candidates(candidates: str, decode: str) -> None:
-    """Validate a ``candidates``/``decode`` switch combination.
-
-    Candidate generation only exists on the streaming path; pairing it with
-    an explicit dense decode is a contradiction and is rejected rather than
-    silently ignored (``decode="auto"`` routes to blockwise instead).  Both
-    rules live in :mod:`repro.core.rules` (shared with the spec validator).
-    """
-    rules.check_candidates_method(candidates)
-    rules.check_candidates_decode(candidates, decode)
-
-
-def decode_similarity(source: np.ndarray, target: np.ndarray,
-                      decode: str = "auto", k: int = 10,
-                      block_size: int | None = None, dtype=np.float64,
-                      candidates: str = "exhaustive",
-                      ann: AnnConfig | None = None):
-    """One-shot decode dispatch shared by models without a propagation decoder.
-
-    Returns the dense cosine matrix or a streaming :func:`blockwise_topk`
-    according to ``resolve_decode`` on the embedding shapes.
-    ``candidates="ivf" | "lsh"`` additionally restricts the streamed decode
-    to approximate candidate sets (see :mod:`repro.core.ann`), forcing the
-    blockwise path regardless of shape.
-    """
-    resolve_candidates(candidates, decode)
-    if candidates != "exhaustive":
-        row_candidates = generate_candidates(candidates, source, target, ann)
-        return blockwise_topk(source, target, k=k, block_size=block_size,
-                              dtype=dtype, row_candidates=row_candidates)
-    if resolve_decode(decode, (len(source), len(target))) == "dense":
-        source_norm = _normalize_rows(source)
-        target_norm = _normalize_rows(target)
-        return source_norm @ target_norm.T
-    return blockwise_topk(source, target, k=k, block_size=block_size, dtype=dtype)
 
 
 def _as_state_list(states) -> list[np.ndarray]:
@@ -125,10 +66,7 @@ class TopKSimilarity:
 
     ``indices`` / ``scores`` hold, per source row, the ``k`` best target
     entities sorted by descending score with ties broken by ascending
-    target id (matching ``np.argmax`` semantics in position 0).  When the
-    decode was restricted to a candidate subset, ``columns`` holds the
-    (sorted) original target ids and ``indices`` refers to those original
-    ids; the column-wise arrays are positional within ``columns``.
+    target id (matching ``np.argmax`` semantics in position 0).
 
     ``approximate`` marks a decode restricted to per-row candidate sets
     (``row_candidates``): uncomputed cells are unknown, so the exact-row
@@ -147,13 +85,12 @@ class TopKSimilarity:
     shape: tuple[int, int]
     k: int
     csls_k: int
-    indices: np.ndarray            # (n_s, k) original target ids
+    indices: np.ndarray            # (n_s, k) target ids
     scores: np.ndarray             # (n_s, k) descending
-    col_max: np.ndarray            # (n_cols,)
-    col_argmax: np.ndarray         # (n_cols,) source ids (first max wins)
+    col_max: np.ndarray            # (n_t,)
+    col_argmax: np.ndarray         # (n_t,) source ids (first max wins)
     row_knn_mean: np.ndarray       # (n_s,)  CSLS r_T
-    col_knn_mean: np.ndarray       # (n_cols,) CSLS r_S
-    columns: np.ndarray | None = None
+    col_knn_mean: np.ndarray       # (n_t,) CSLS r_S
     dtype: np.dtype = np.dtype(np.float64)
     approximate: bool = False
     computed_cells: int = 0
@@ -168,7 +105,7 @@ class TopKSimilarity:
 
     @property
     def num_columns(self) -> int:
-        """Number of target columns actually decoded (candidate-restricted)."""
+        """Number of target columns."""
         return len(self.col_max)
 
     def is_exhaustive(self) -> bool:
@@ -185,7 +122,7 @@ class TopKSimilarity:
 
     # ------------------------------------------------------------------
     def row_scores(self, source_id: int) -> np.ndarray:
-        """Exact full similarity row (over the decoded columns).
+        """Exact full similarity row over every target column.
 
         This is the ``O(n_t)`` exactness fallback used when a gold target
         falls outside the stored top-``k``: the same round-averaged product
@@ -219,13 +156,12 @@ class TopKSimilarity:
         indices = self.indices if rows is None else self.indices[rows]
         scores = self.scores if rows is None else self.scores[rows]
         row_means = self.row_knn_mean if rows is None else self.row_knn_mean[rows]
-        col_positions = self.column_positions(indices)
         return (2.0 * scores
                 - row_means[:, None]
-                - self.col_knn_mean[col_positions])
+                - self.col_knn_mean[indices])
 
     def csls_row(self, source_id: int) -> np.ndarray:
-        """Exact full CSLS row over the decoded columns (``O(n_cols)``).
+        """Exact full CSLS row over every target column (``O(n_t)``).
 
         The CSLS counterpart of :meth:`row_scores`, used as the evaluation
         fallback when a gold rank cannot be proven from the stored top-k.
@@ -234,18 +170,6 @@ class TopKSimilarity:
         return (2.0 * self.row_scores(source_id)
                 - self.row_knn_mean[source_id]
                 - self.col_knn_mean)
-
-    def column_positions(self, target_ids: np.ndarray) -> np.ndarray:
-        """Map original target ids to positions within the decoded columns.
-
-        The ids must be among the decoded columns (always true without a
-        candidate restriction); the column-wise arrays (``col_max``,
-        ``col_knn_mean``…) are indexed by these positions.
-        """
-        if self.columns is None:
-            return target_ids
-        positions = np.searchsorted(self.columns, target_ids)
-        return positions
 
     # ------------------------------------------------------------------
     def mutual_nearest_pairs(self, threshold: float = 0.0,
@@ -262,8 +186,7 @@ class TopKSimilarity:
         exclude_target = exclude_target or set()
         best_ids, best_scores = self.best_target()
         source_ids = np.arange(self.num_source)
-        col_positions = self.column_positions(best_ids)
-        keep = self.col_argmax[col_positions] == source_ids
+        keep = self.col_argmax[best_ids] == source_ids
         keep &= best_scores >= threshold
         if exclude_source:
             keep &= ~np.isin(source_ids, np.fromiter(exclude_source, dtype=np.int64))
@@ -444,7 +367,6 @@ def blockwise_topk(source, target, k: int = 10,
                    block_size: int | None = None,
                    dtype=np.float64,
                    csls_k: int = 10,
-                   columns: np.ndarray | None = None,
                    row_candidates: RowCandidates | None = None,
                    pre_normalized: bool = False,
                    num_workers: int | None = None) -> TopKSimilarity:
@@ -466,9 +388,6 @@ def blockwise_topk(source, target, k: int = 10,
         halves memory traffic for large decodes).
     csls_k:
         ``k`` of the CSLS local-scaling means (10 in the literature).
-    columns:
-        Optional sorted array of target ids restricting the decode to a
-        candidate subset (the restricted evaluation protocol).
     row_candidates:
         Optional per-row candidate sets from :mod:`repro.core.ann`; the
         block loop then gathers only the candidate cells (a sparse gather
@@ -507,10 +426,6 @@ def blockwise_topk(source, target, k: int = 10,
         raise ValueError("source and target must have the same number of rounds")
 
     if row_candidates is not None:
-        if columns is not None:
-            raise ValueError(
-                "columns= and row_candidates= are mutually exclusive decode "
-                "restrictions")
         if row_candidates.num_rows != np.asarray(source_states[0]).shape[0]:
             raise ValueError("row_candidates row count must match the source rows")
         if row_candidates.num_columns != np.asarray(target_states[0]).shape[0]:
@@ -528,25 +443,15 @@ def blockwise_topk(source, target, k: int = 10,
                                           pre_normalized=pre_normalized,
                                           num_workers=num_workers)
 
-    if columns is not None:
-        columns = np.asarray(columns, dtype=np.int64)
-        if len(columns) and np.any(np.diff(columns) < 0):
-            raise ValueError("columns must be sorted ascending")
-
     dtype = np.dtype(dtype)
     if pre_normalized:
         source_norm = [np.asarray(state) for state in source_states]
+        target_norm = [np.asarray(state) for state in target_states]
     else:
         source_norm = [_normalize_rows(state).astype(dtype, copy=False)
                        for state in source_states]
-    num_target = np.asarray(target_states[0]).shape[0]
-    target_norm = []
-    for state in target_states:
-        normalized = (np.asarray(state) if pre_normalized
-                      else _normalize_rows(state))
-        if columns is not None:
-            normalized = normalized[columns]
-        target_norm.append(normalized.astype(dtype, copy=False))
+        target_norm = [_normalize_rows(state).astype(dtype, copy=False)
+                       for state in target_states]
 
     num_source = source_norm[0].shape[0]
     num_cols = target_norm[0].shape[0]
@@ -569,26 +474,21 @@ def blockwise_topk(source, target, k: int = 10,
                                        k_keep=k_keep, csls_k_col=csls_k_col,
                                        block_size=block_size)
 
-    indices = partial.indices
-    if columns is not None:
-        indices = columns[indices]
-
     # Means are taken over ascending-sorted values so they are bit-identical
     # to the dense ``np.sort(...)[-k:].mean()`` formulation.
     row_knn_mean = np.sort(partial.scores[:, :csls_k_row], axis=1).mean(axis=1)
     col_knn_mean = np.sort(partial.col_top, axis=0).mean(axis=0)
 
     return TopKSimilarity(
-        shape=(num_source, num_target),
+        shape=(num_source, num_cols),
         k=k_keep,
         csls_k=csls_k,
-        indices=indices,
+        indices=partial.indices,
         scores=partial.scores,
         col_max=partial.col_max,
         col_argmax=partial.col_argmax,
         row_knn_mean=row_knn_mean,
         col_knn_mean=col_knn_mean,
-        columns=columns,
         dtype=dtype,
         computed_cells=num_source * num_cols * num_rounds,
         worker_rss_mb=partial.worker_rss_mb,
@@ -744,7 +644,6 @@ def _blockwise_topk_candidates(source_states: list[np.ndarray],
         col_argmax=partial.col_argmax,
         row_knn_mean=np.full(num_source, np.nan),
         col_knn_mean=np.full(num_cols, np.nan),
-        columns=None,
         dtype=dtype,
         approximate=True,
         computed_cells=row_candidates.total * num_rounds,

@@ -16,10 +16,10 @@ the whole point: ``np.load(mmap_mode="r")`` maps each file directly, so
 * forked worker pools and co-hosted serving processes share one page-cache
   copy of every table.
 
-The v1 artifact kept these arrays zipped inside ``decode.npz``, which
-cannot be mapped without unpacking (see ``facade._mmap_npz``); the v2
-artifact replaces that member zip with this store, making the mapped
-layout the *native* one.
+The (no longer read) v1 artifact kept these arrays zipped inside
+``decode.npz``, which cannot be mapped without unpacking; the v2 artifact
+replaces that member zip with this store, making the mapped layout the
+*native* one.
 
 Writes stream through :func:`write_npy_chunked` (or an
 :func:`allocate_npy` memmap filled by the producer), so creating a store

@@ -22,8 +22,8 @@ strategy selected by ``TrainingConfig.sampling``:
 
 Every aligner in this repository (DESAlign and the baselines) exposes the
 same minimal interface — ``loss(source_index, target_index)``,
-``similarity()`` and ``parameters()`` — so a single :class:`Trainer` covers
-the whole model zoo and the experiment harness stays uniform; the
+``decode_states()`` and ``parameters()`` — so a single :class:`Trainer`
+covers the whole model zoo and the experiment harness stays uniform; the
 neighbour strategy additionally requires ``subgraph_loss`` and
 ``neighbour_sampler`` (DESAlign implements both).
 """
@@ -37,15 +37,15 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..data.loader import SeedPairLoader, epoch_order
-from ..eval.evaluator import Evaluator, filter_supported_kwargs
+from ..eval.evaluator import Evaluator
 from ..eval.metrics import AlignmentMetrics
 from ..nn import AdamW, CosineWarmupSchedule, EarlyStopping, GradientClipper
 from .alignment import mutual_nearest_pairs
-from .ann import AnnConfig, IVFWarmStart, resolve_ann
-from .compat import spec_driven, warn_legacy
+from .ann import AnnConfig, IVFWarmStart, generate_candidates, resolve_ann
 from .config import TrainingConfig
 from .registries import TRAINING_LOOP_REGISTRY, register_training_loop
 from .energy import EnergyMonitor
+from .similarity import TopKSimilarity, blockwise_topk
 from .task import PreparedTask
 
 __all__ = ["TrainingHistory", "TrainingResult", "TrainingLoop", "FullGraphLoop",
@@ -89,10 +89,11 @@ def _loss_total(value) -> Tensor:
 class TrainingLoop:
     """Strategy object: how batches form, how a loss is computed, how to evaluate.
 
-    Subclasses implement :meth:`epoch_batches`, :meth:`batch_loss`,
-    :meth:`_evaluate` and :meth:`model_similarity`; the optimisation
-    skeleton (:meth:`train_phase`) — optimiser, schedule, clipping, the
-    periodic-evaluation cadence and early stopping — is shared.
+    Subclasses implement :meth:`_build_evaluator`, :meth:`epoch_batches`
+    and :meth:`batch_loss`; the optimisation skeleton (:meth:`train_phase`)
+    — optimiser, schedule, clipping, the periodic-evaluation cadence and
+    early stopping — and the pseudo-seed decode (:meth:`model_similarity`,
+    which encodes as the evaluator does) are shared.
     """
 
     name = "abstract"
@@ -123,10 +124,6 @@ class TrainingLoop:
         """Differentiable total loss of one batch."""
         raise NotImplementedError
 
-    def model_similarity(self):
-        """Similarity artefact feeding the iterative mutual-NN selection."""
-        raise NotImplementedError
-
     def record_energy(self, monitor: EnergyMonitor, epoch: int) -> None:
         """Log a Dirichlet-energy snapshot (no-op where it would defeat sampling)."""
 
@@ -143,24 +140,26 @@ class TrainingLoop:
             return None
         return resolve_ann(self.config.ann, self.config.seed)
 
-    def pseudo_seed_decode_kwargs(self) -> dict:
-        """Decode keywords for the iterative mutual-NN pseudo-seed selection.
+    def model_similarity(self) -> TopKSimilarity:
+        """Streaming decode feeding the iterative mutual-NN selection.
 
-        Approximate candidates are only admissible here when escalation
-        makes the per-row/per-column top-1 provably exact — IVF escalates,
-        LSH cannot (rejected at config construction).
+        Encodes the way the loop's evaluator does.  Approximate candidates
+        are only admissible here when escalation makes the per-row/per-column
+        top-1 provably exact — IVF escalates, LSH cannot (rejected at config
+        construction).  The warm start re-fits each round's quantiser from
+        the previous round's centroids; escalation keeps the selection
+        exact, so the pseudo-seed pairs are independent of that history.
         """
-        if self.config.candidates == "exhaustive":
-            return {}
-        if self.config.candidates == "lsh":
-            raise ValueError(
-                "mutual-NN pseudo-seeding cannot run on LSH candidates")
-        ann = self.resolved_ann().with_overrides(exact_escalation=True)
-        # The warm start re-fits each round's quantiser from the previous
-        # round's centroids; escalation keeps the selection provably exact,
-        # so the pseudo-seed pairs are independent of the centroid history.
-        return {"decode": "blockwise", "candidates": "ivf", "ann": ann,
-                "ann_warm_start": self._ann_warm_start}
+        source, target = self.model.decode_states(
+            use_propagation=True, encode=self.evaluator.encode,
+            encode_batch_size=self.evaluator.encode_batch_size)
+        row_candidates = None
+        if self.config.candidates != "exhaustive":
+            ann = self.resolved_ann().with_overrides(exact_escalation=True)
+            row_candidates = generate_candidates(
+                self.config.candidates, source, target, ann,
+                warm_start=self._ann_warm_start)
+        return blockwise_topk(source, target, row_candidates=row_candidates)
 
     # -- shared skeleton ------------------------------------------------
     def evaluate(self) -> AlignmentMetrics:
@@ -242,17 +241,6 @@ class FullGraphLoop(TrainingLoop):
     def batch_loss(self, batch: np.ndarray) -> Tensor:
         return _loss_total(self.model.loss(batch[:, 0], batch[:, 1]))
 
-    def model_similarity(self):
-        # Forward use_propagation only when the signature accepts it — the
-        # same inspection Evaluator.evaluate_model uses, so a TypeError
-        # raised *inside* the decode surfaces instead of silently retrying
-        # without propagation.
-        kwargs = filter_supported_kwargs(self.model.similarity,
-                                         use_propagation=True,
-                                         **self.pseudo_seed_decode_kwargs())
-        with spec_driven():
-            return self.model.similarity(**kwargs)
-
     def record_energy(self, monitor: EnergyMonitor, epoch: int) -> None:
         if hasattr(self.model, "encode"):
             monitor.record(epoch, self.model.encode("source"))
@@ -289,7 +277,7 @@ class NeighbourSampledLoop(TrainingLoop):
         super().__init__(model, task, config, rng)
 
     def _build_evaluator(self) -> Evaluator:
-        return Evaluator(self.task, decode="blockwise", encode="sampled",
+        return Evaluator(self.task, encode="sampled",
                          encode_batch_size=self.config.eval_batch_size,
                          candidates=self.config.candidates,
                          ann=self.resolved_ann())
@@ -304,14 +292,6 @@ class NeighbourSampledLoop(TrainingLoop):
             batch.source_view, batch.target_view,
             batch.pairs[:, 0], batch.pairs[:, 1],
             source_local=batch.source_index, target_local=batch.target_index))
-
-    def model_similarity(self):
-        kwargs = {"use_propagation": True, "decode": "blockwise",
-                  "encode": "sampled",
-                  "encode_batch_size": self.config.eval_batch_size}
-        kwargs.update(self.pseudo_seed_decode_kwargs())
-        with spec_driven():
-            return self.model.similarity(**kwargs)
 
     # Recording energy would require a full-graph encoder pass, which this
     # strategy exists to avoid; record_energy stays the base no-op, and
@@ -338,20 +318,14 @@ def build_training_loop(model, task: PreparedTask, config: TrainingConfig,
 class Trainer:
     """Generic trainer for entity-alignment models on a prepared task.
 
-    This is the optimisation *engine*; as a user-facing entry point it is
-    deprecated in favour of the declarative facade
-    (:class:`repro.pipeline.AlignmentPipeline`), which drives this very
-    class internally and adds spec validation, artifact persistence and
-    decode caching on top.
+    This is the optimisation *engine*; the declarative facade
+    (:class:`repro.pipeline.AlignmentPipeline`) drives this very class
+    internally and adds spec validation, artifact persistence and decode
+    caching on top.
     """
 
     def __init__(self, model, task: PreparedTask, config: TrainingConfig | None = None,
                  energy_monitor: EnergyMonitor | None = None):
-        warn_legacy(
-            "Trainer(model, task, config)",
-            "spec = PipelineSpec(model=ModelSpec(name=<registry name>), "
-            "training=<this TrainingConfig>); "
-            "AlignmentPipeline.from_spec(spec).fit(task) — see repro.pipeline")
         self.model = model
         self.task = task
         self.config = config or TrainingConfig()
@@ -372,11 +346,9 @@ class Trainer:
     def _augment_with_pseudo_pairs(self, seeds: np.ndarray) -> np.ndarray:
         """Promote mutual nearest-neighbour test candidates to pseudo-seeds.
 
-        The loop's similarity may be a dense matrix or a streaming
-        :class:`~repro.core.similarity.TopKSimilarity` (the neighbour
-        strategy always streams); the mutual-NN selection accepts both, so
-        iterative training on large tasks runs from the running row/column
-        argmax reductions instead of an ``n_s x n_t`` matrix.
+        The selection runs on the loop's streaming
+        :class:`~repro.core.similarity.TopKSimilarity` — its running
+        row/column argmax reductions — instead of an ``n_s x n_t`` matrix.
         """
         similarity = self.loop.model_similarity()
         seed_sources = set(int(s) for s in seeds[:, 0])

@@ -7,7 +7,7 @@ from .metrics import (
     AlignmentMetrics,
     evaluate_alignment,
 )
-from .evaluator import Evaluator, TimingResult, time_callable
+from .evaluator import Evaluator
 
 __all__ = [
     "ranks_from_similarity",
@@ -16,6 +16,4 @@ __all__ = [
     "AlignmentMetrics",
     "evaluate_alignment",
     "Evaluator",
-    "TimingResult",
-    "time_callable",
 ]

@@ -1,61 +1,37 @@
-"""Task-level evaluation and timing harnesses."""
+"""Task-level evaluation harness."""
 
 from __future__ import annotations
 
-import inspect
-import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..core import rules
-from ..core.compat import spec_driven
+from ..core.ann import generate_candidates
+from ..core.similarity import blockwise_topk
 from ..core.task import PreparedTask
-from .metrics import AlignmentMetrics, evaluate_alignment
+from .metrics import EVALUATION_K, AlignmentMetrics, evaluate_alignment
 
-__all__ = ["Evaluator", "TimingResult", "filter_supported_kwargs", "time_callable"]
-
-
-def filter_supported_kwargs(fn, **candidates) -> dict:
-    """Keep only the keyword arguments ``fn``'s signature accepts.
-
-    The signature is inspected once rather than probing with retries that
-    could swallow a genuine TypeError raised inside ``fn`` itself; builtins
-    and C callables without an inspectable signature receive no kwargs.
-    Shared by :meth:`Evaluator.evaluate_model` and the training loops so a
-    keyword added to ``model.similarity`` is forwarded consistently.
-    """
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return {}
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
-        return dict(candidates)
-    return {key: value for key, value in candidates.items() if key in parameters}
+__all__ = ["Evaluator"]
 
 
 @dataclass
 class Evaluator:
-    """Evaluate similarities against a prepared task's test split.
+    """Evaluate a model or a decode against a prepared task's test split.
 
-    Accepts both full similarity matrices and streaming
-    :class:`~repro.core.similarity.TopKSimilarity` decodes; ``decode``,
-    ``encode`` and ``encode_batch_size`` are forwarded to models whose
-    ``similarity()`` supports them, so large tasks evaluate without ever
-    materialising the ``n_s x n_t`` matrix (``decode="blockwise"``) or a
-    full-graph encoder pass (``encode="sampled"``, the neighbour-sampled
-    training pipeline's inference path).  ``ranking="csls"`` ranks on
-    CSLS-rescaled similarities — exactly, for dense and streaming decodes
-    alike.  ``candidates="ivf" | "lsh"`` (with an optional
-    :class:`~repro.core.ann.AnnConfig`) further restricts streaming decodes
-    to approximate candidate sets; such decodes are scored with honest
-    recall-style ranks and refuse CSLS ranking rather than degrade
-    silently.
+    :meth:`evaluate_model` streams the model's ``decode_states()`` through
+    :func:`~repro.core.similarity.blockwise_topk` at
+    :data:`~repro.eval.metrics.EVALUATION_K`, so no evaluation materialises
+    the ``n_s x n_t`` matrix; ranks stay exact through the per-row
+    fallback.  ``encode`` / ``encode_batch_size`` pick the encoder path
+    (``encode="sampled"`` is the neighbour-sampled training pipeline's
+    batched inference).  ``ranking="csls"`` ranks on CSLS-rescaled
+    similarities.  ``candidates="ivf" | "lsh"`` (with an optional
+    :class:`~repro.core.ann.AnnConfig`) restricts the decode to approximate
+    candidate sets; such decodes are scored with honest recall-style ranks
+    and refuse CSLS ranking rather than degrade silently.
     """
 
     task: PreparedTask
     restrict_candidates: bool = True
-    decode: str = "auto"
     encode: str = "full"
     encode_batch_size: int | None = None
     ranking: str = "cosine"
@@ -66,11 +42,9 @@ class Evaluator:
         # Legality delegated to repro.core.rules (the spec validator uses
         # the same functions), so an incoherent evaluator is rejected at
         # construction with the same message everywhere.
-        rules.check_decode_method(self.decode)
         rules.check_encode_method(self.encode)
         rules.check_ranking_method(self.ranking)
         rules.check_candidates_method(self.candidates)
-        rules.check_candidates_decode(self.candidates, self.decode)
         rules.check_ranking_candidates(self.ranking, self.candidates)
 
     def evaluate_similarity(self, similarity) -> AlignmentMetrics:
@@ -80,43 +54,13 @@ class Evaluator:
                                   ranking=self.ranking)
 
     def evaluate_model(self, model, use_propagation: bool = True) -> AlignmentMetrics:
-        """Score any model exposing ``similarity()``.
-
-        The ``use_propagation`` / ``decode`` / ``encode`` keywords are
-        forwarded only when the model's signature accepts them (see
-        :func:`filter_supported_kwargs`).
-        """
-        forwarded = {"use_propagation": use_propagation, "decode": self.decode,
-                     "encode": self.encode}
-        if self.encode_batch_size is not None:
-            forwarded["encode_batch_size"] = self.encode_batch_size
+        """Score any model exposing ``decode_states()``."""
+        source, target = model.decode_states(
+            use_propagation=use_propagation, encode=self.encode,
+            encode_batch_size=self.encode_batch_size)
+        row_candidates = None
         if self.candidates != "exhaustive":
-            forwarded["candidates"] = self.candidates
-            if self.ann is not None:
-                forwarded["ann"] = self.ann
-        kwargs = filter_supported_kwargs(model.similarity, **forwarded)
-        with spec_driven():
-            similarity = model.similarity(**kwargs)
-        return self.evaluate_similarity(similarity)
-
-
-@dataclass
-class TimingResult:
-    """Wall-clock measurement of a callable, with optional per-phase detail."""
-
-    label: str
-    seconds: float
-    phases: dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, float]:
-        summary = {"total_seconds": self.seconds}
-        summary.update(self.phases)
-        return summary
-
-
-def time_callable(label: str, fn, *args, **kwargs) -> tuple[TimingResult, object]:
-    """Run ``fn`` and return its wall-clock time alongside its result."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    elapsed = time.perf_counter() - start
-    return TimingResult(label=label, seconds=elapsed), result
+            row_candidates = generate_candidates(self.candidates, source,
+                                                 target, self.ann)
+        return self.evaluate_similarity(blockwise_topk(
+            source, target, k=EVALUATION_K, row_candidates=row_candidates))

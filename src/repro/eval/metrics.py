@@ -34,7 +34,12 @@ from ..core import rules
 from ..core.similarity import TopKSimilarity
 
 __all__ = ["ranks_from_similarity", "hits_at_k", "mean_reciprocal_rank", "AlignmentMetrics",
-           "evaluate_alignment"]
+           "evaluate_alignment", "EVALUATION_K"]
+
+#: Neighbours kept by every evaluation decode: H@10, the largest cut-off
+#: reported.  Exhaustive ranks are exact at any ``k`` (per-row fallback);
+#: an approximate decode ranks only what it stored, so it must keep 10.
+EVALUATION_K = 10
 
 
 def ranks_from_similarity(similarity, test_pairs: np.ndarray,
@@ -110,17 +115,8 @@ def _ranks_from_topk(topk: TopKSimilarity, test_pairs: np.ndarray,
         candidates = np.unique(test_pairs[:, 1])
     else:
         candidates = np.arange(num_target)
-    if topk.columns is not None and not np.all(np.isin(candidates, topk.columns)):
-        raise ValueError(
-            "the top-k decode was restricted to a candidate set that does not "
-            "cover the requested candidates; decode with columns=None or with "
-            "all test targets included")
     is_candidate = np.zeros(num_target, dtype=bool)
     is_candidate[candidates] = True
-    if topk.columns is None:
-        candidate_positions = candidates
-    else:
-        candidate_positions = np.searchsorted(topk.columns, candidates)
 
     rows = test_pairs[:, 0]
     golds = test_pairs[:, 1]
@@ -145,12 +141,12 @@ def _ranks_from_topk(topk: TopKSimilarity, test_pairs: np.ndarray,
         # 2·boundary - min_j r_S(j), so the stored top-k provably contains
         # every better-ranked candidate whenever the gold beats that bound.
         kept_rank = topk.csls_scores(rows)
-        gold_col_mean = topk.col_knn_mean[topk.column_positions(golds)]
+        gold_col_mean = topk.col_knn_mean[golds]
         gold_rank = np.where(
             found,
             2.0 * gold_scores - topk.row_knn_mean[rows] - gold_col_mean,
             -np.inf)
-        min_col_mean = topk.col_knn_mean[candidate_positions].min()
+        min_col_mean = topk.col_knn_mean[candidates].min()
         # The row term r_T(i) is common to both sides; compare without it
         # so float cancellation cannot misclassify a borderline row.
         exact = found & (topk.is_exhaustive()
@@ -182,7 +178,7 @@ def _ranks_from_topk(topk: TopKSimilarity, test_pairs: np.ndarray,
             row_scores = topk.csls_row(int(rows[row]))
         else:
             row_scores = topk.row_scores(int(rows[row]))
-        row_scores = row_scores[candidate_positions]
+        row_scores = row_scores[candidates]
         gold_column = int(np.searchsorted(candidates, golds[row]))
         gold_score = row_scores[gold_column]
         ranks[row] = (1 + np.sum(row_scores > gold_score)

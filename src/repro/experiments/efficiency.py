@@ -41,7 +41,6 @@ import numpy as np
 
 from ..core.alignment import cosine_similarity, csls_similarity, mutual_nearest_pairs
 from ..core.ann import AnnConfig, flops_counter, generate_candidates, recall_at_k
-from ..core.compat import spec_driven
 from ..core.config import DESAlignConfig, TrainingConfig
 from ..core.model import DESAlign
 from ..core.propagation import SemanticPropagation
@@ -298,16 +297,14 @@ def _profile_sharded_decode_paths(result: ExperimentResult, dataset: str,
 def _training_pipeline(task, sampling: str, fanouts):
     """Train a fresh DESAlign on ``task`` with one training strategy.
 
-    Uses the Trainer engine directly (the profiler wants no facade layers
-    between the timer and the loop) inside ``spec_driven()`` so the
-    legacy-API deprecation shim stays silent on library-internal plumbing.
+    Uses the Trainer engine directly: the profiler wants no facade layers
+    between the timer and the loop.
     """
     model = DESAlign(task, DESAlignConfig(hidden_dim=16, gat_layers=2,
                                           seed=0, backend="sparse"))
     config = TrainingConfig(epochs=2, eval_every=0, seed=0, batch_size=256,
                             sampling=sampling, fanouts=fanouts)
-    with spec_driven():
-        return Trainer(model, task, config).fit()
+    return Trainer(model, task, config).fit()
 
 
 def _profile_training_paths(result: ExperimentResult,

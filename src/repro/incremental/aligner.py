@@ -539,7 +539,7 @@ class IncrementalAligner:
             col_max=merged.col_max, col_argmax=merged.col_argmax,
             row_knn_mean=np.full(n_s_new, np.nan),
             col_knn_mean=np.full(n_t_new, np.nan),
-            columns=None, dtype=np.dtype(np.float64), approximate=True,
+            dtype=np.dtype(np.float64), approximate=True,
             computed_cells=merged.computed_cells,
             _source_norm=src_norm, _target_norm=tgt_norm)
         return table, len(rows)

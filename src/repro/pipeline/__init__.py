@@ -30,7 +30,6 @@ from ..core.registries import (
 from .facade import (
     Aligner,
     AlignmentPipeline,
-    DECODE_FILENAME,
     PARAMS_FILENAME,
     SPEC_FILENAME,
     TopKAlignment,
@@ -51,7 +50,6 @@ __all__ = [
     "CUSTOM_DATASET",
     "SPEC_FILENAME",
     "PARAMS_FILENAME",
-    "DECODE_FILENAME",
     "register_model",
     "register_training_loop",
     "register_candidate_generator",

@@ -16,9 +16,7 @@ IVF/LSH candidate generation):
 
 Internally ``fit`` drives ``prepare_task``, the registered model builders,
 the pluggable :class:`~repro.core.trainer.TrainingLoop` strategies, the
-:class:`~repro.eval.Evaluator` and the streaming decode stack — all inside
-:func:`~repro.core.compat.spec_driven`, so the legacy deprecation shims
-stay silent on the facade's own plumbing.
+:class:`~repro.eval.Evaluator` and the streaming decode stack.
 
 The :class:`Aligner` caches the evaluation embeddings (per-propagation-round
 state lists) and the fitted candidate structure (e.g. the IVF inverted
@@ -34,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +39,6 @@ import numpy as np
 
 from ..core.ann import (RowCandidates, _normalize_rows, generate_candidates,
                         resolve_ann)
-from ..core.compat import spec_driven
 from ..core.registries import build_model_from_spec
 from ..core.similarity import (DEFAULT_BLOCK_SIZE, TopKSimilarity,
                                _blockwise_topk_candidates, blockwise_topk)
@@ -50,29 +46,24 @@ from ..core.store import EmbeddingStore
 from ..core.task import PreparedTask, prepare_task
 from ..core.trainer import Trainer, TrainingResult
 from ..data.benchmarks import load_benchmark
-from ..eval.evaluator import Evaluator
-from ..eval.metrics import AlignmentMetrics, evaluate_alignment
+from ..eval.metrics import EVALUATION_K, AlignmentMetrics, evaluate_alignment
 from ..kg.pair import KGPair
 from ..robustness.operators import perturb_pair, perturb_task
 from .spec import CUSTOM_DATASET, PipelineSpec
 
 __all__ = ["AlignmentPipeline", "Aligner", "TopKAlignment",
-           "SPEC_FILENAME", "PARAMS_FILENAME", "DECODE_FILENAME",
-           "STORE_DIRNAME"]
+           "SPEC_FILENAME", "PARAMS_FILENAME", "STORE_DIRNAME"]
 
 #: Artifact directory layout written by :meth:`Aligner.save`.
 SPEC_FILENAME = "spec.json"
 PARAMS_FILENAME = "params.npz"
-DECODE_FILENAME = "decode.npz"       # v1 artifacts (member zip)
-STORE_DIRNAME = "store"              # v2 artifacts (shard-aligned .npy store)
+STORE_DIRNAME = "store"              # shard-aligned .npy decode store
 
-#: Current artifact format: decode payloads live in an
+#: The artifact format: decode payloads live in an
 #: :class:`~repro.core.store.EmbeddingStore` directory of mappable ``.npy``
-#: files.  v1 (everything zipped into ``decode.npz``) is still read
-#: byte-compatibly by :meth:`Aligner.load` and written on request by
-#: :meth:`Aligner.save`.
+#: files.  Version 1 (everything zipped into ``decode.npz``) is no longer
+#: read.
 _ARTIFACT_VERSION = 2
-_LEGACY_ARTIFACT_VERSION = 1
 
 
 @dataclass
@@ -195,8 +186,7 @@ class AlignmentPipeline:
         """Prepare, train and evaluate; returns the fitted :class:`Aligner`."""
         task = self.build_task(pair)
         model = self.build_model(task)
-        with spec_driven():
-            result = Trainer(model, task, self.spec.training).fit()
+        result = Trainer(model, task, self.spec.training).fit()
         return Aligner(self.spec, task=task, model=model, result=result)
 
 
@@ -253,10 +243,11 @@ class Aligner:
     def _ensure_model(self) -> bool:
         """Rebuild the task/model from a loaded artifact on first need.
 
-        ``load()`` defers this so pure serving queries (``align``/``rank``
-        over the cached decode) never pay benchmark regeneration, task
-        preparation or model construction.  Returns whether a model is
-        available afterwards.
+        ``load()`` defers this to :meth:`decode_states`, which needs it
+        only when no states are cached, so pure serving queries
+        (``align``/``rank``/``evaluate`` over the cached decode) never pay
+        benchmark regeneration, task preparation or model construction.
+        Returns whether a model is available afterwards.
         """
         if self.model is not None:
             return True
@@ -274,16 +265,15 @@ class Aligner:
     def decode_states(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """The (cached) per-round evaluation states feeding every decode."""
         if self._states is None:
-            if self.model is None:
+            if not self._ensure_model():
                 raise RuntimeError(
                     "this aligner holds no model and no cached decode states; "
                     "load() an artifact saved by save() or fit() a pipeline")
             decode = self.spec.decode
-            with spec_driven():
-                self._states = self.model.decode_states(
-                    use_propagation=decode.use_propagation,
-                    encode=decode.encode,
-                    encode_batch_size=decode.encode_batch_size)
+            self._states = self.model.decode_states(
+                use_propagation=decode.use_propagation,
+                encode=decode.encode,
+                encode_batch_size=decode.encode_batch_size)
         return self._states
 
     def row_candidates(self) -> RowCandidates | None:
@@ -506,73 +496,45 @@ class Aligner:
                        params_path=self._params_path)
 
     def evaluate(self) -> AlignmentMetrics:
-        """H@1 / H@10 / MRR on the held-out test pairs, per the decode spec."""
-        decode = self.spec.decode
-        if self._ensure_model() and self.task is not None:
-            evaluator = Evaluator(
-                self.task, decode=decode.decode, encode=decode.encode,
-                encode_batch_size=decode.encode_batch_size,
-                ranking=decode.ranking, candidates=decode.candidates,
-                ann=(resolve_ann(decode.ann, self.spec.training.seed)
-                     if decode.candidates != "exhaustive" else None))
-            with spec_driven():
-                return evaluator.evaluate_model(
-                    self.model, use_propagation=decode.use_propagation)
+        """H@1 / H@10 / MRR on the held-out test pairs, per the decode spec.
+
+        Scores this artifact's own decode of its cached states at
+        :data:`~repro.eval.metrics.EVALUATION_K`, so a fitted aligner and
+        its reload report the same metrics, and a loaded artifact needs no
+        model to evaluate.
+        """
         if self._test_pairs is None:
             raise RuntimeError("this aligner carries no test pairs to evaluate on")
-        return evaluate_alignment(self.topk(), self._test_pairs,
-                                  ranking=decode.ranking)
+        return evaluate_alignment(self.topk(EVALUATION_K), self._test_pairs,
+                                  ranking=self.spec.decode.ranking)
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, directory, *, format_version: int = _ARTIFACT_VERSION) -> Path:
+    def save(self, directory) -> Path:
         """Persist spec + parameters + decode payloads under ``directory``.
 
         Writes ``spec.json`` (the validated spec plus artifact metadata),
         ``params.npz`` (the model's state dict, when a model is attached)
-        and the decode payloads — the cached per-round states, the
-        candidate CSR (plus its IVF bucket map when grouped) and the
-        train/test splits.  :meth:`load` rebuilds an aligner whose
-        ``align``/``rank`` reproduce this one's decode bit-identically,
-        because they consume these exact arrays.
-
-        ``format_version=2`` (the default) lays the payloads out as an
+        and the decode payloads as an
         :class:`~repro.core.store.EmbeddingStore` — shard-aligned ``.npy``
-        files that ``load(mmap=True)`` maps natively, the out-of-core
-        serving layout.  ``format_version=1`` writes the legacy
-        ``decode.npz`` member zip for consumers pinned to the old layout.
+        files holding the cached per-round states, the candidate CSR (plus
+        its IVF bucket map when grouped) and the train/test splits, which
+        ``load(mmap=True)`` maps natively.  :meth:`load` rebuilds an
+        aligner whose ``align``/``rank`` reproduce this one's decode
+        bit-identically, because they consume these exact arrays.
         """
-        if format_version not in (_LEGACY_ARTIFACT_VERSION, _ARTIFACT_VERSION):
-            raise ValueError(f"unsupported artifact format_version "
-                             f"{format_version!r}")
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
 
         source_states, target_states = self.decode_states()
         candidates = self.row_candidates()
-
-        if format_version == _LEGACY_ARTIFACT_VERSION:
-            arrays: dict[str, np.ndarray] = {}
-            for index, state in enumerate(source_states):
-                arrays[f"source_state_{index}"] = np.asarray(state)
-            for index, state in enumerate(target_states):
-                arrays[f"target_state_{index}"] = np.asarray(state)
-            if self._train_pairs is not None:
-                arrays["train_pairs"] = np.asarray(self._train_pairs)
-            if self._test_pairs is not None:
-                arrays["test_pairs"] = np.asarray(self._test_pairs)
-            if candidates is not None:
-                arrays["candidates_indptr"] = candidates.indptr
-                arrays["candidates_indices"] = candidates.indices
-            np.savez_compressed(directory / DECODE_FILENAME, **arrays)
-        else:
-            EmbeddingStore.create(
-                directory / STORE_DIRNAME,
-                source_states=source_states, target_states=target_states,
-                row_candidates=candidates,
-                train_pairs=self._train_pairs, test_pairs=self._test_pairs,
-                block_size=DEFAULT_BLOCK_SIZE)
+        EmbeddingStore.create(
+            directory / STORE_DIRNAME,
+            source_states=source_states, target_states=target_states,
+            row_candidates=candidates,
+            train_pairs=self._train_pairs, test_pairs=self._test_pairs,
+            block_size=DEFAULT_BLOCK_SIZE)
 
         target_params = directory / PARAMS_FILENAME
         if self.model is not None:
@@ -584,7 +546,7 @@ class Aligner:
             shutil.copyfile(self._params_path, target_params)
 
         payload = {
-            "format_version": format_version,
+            "format_version": _ARTIFACT_VERSION,
             "spec": self.spec.to_dict(),
             "num_rounds": len(source_states),
             "num_targets": int(np.asarray(target_states[0]).shape[0]),
@@ -600,23 +562,21 @@ class Aligner:
     def load(cls, directory, *, mmap: bool = False) -> "Aligner":
         """Reconstruct a saved aligner; its decode is bit-identical to save time.
 
-        ``align``/``rank`` serve straight from the persisted decode
-        payloads.  When the spec's dataset is a regenerable benchmark
-        preset, the task and model are rebuilt *lazily* — on the first
-        operation that needs them (``evaluate``) — with the saved
-        parameters restored, so pure serving queries pay no benchmark
-        regeneration; for custom data only the cached decode artefacts
-        are available (``align``/``rank``/``evaluate`` still work from
-        them).
+        ``align``/``rank``/``evaluate`` serve straight from the persisted
+        decode payloads, with no model.  When the spec's dataset is a
+        regenerable benchmark preset, the task and model are rebuilt
+        *lazily* — only when a sibling from :meth:`with_decode` needs
+        states the artifact does not cache (e.g. ``use_propagation=False``)
+        — with the saved parameters restored; for custom data only the
+        cached decode artefacts are available.
 
         ``mmap=True`` memory-maps the decode payloads read-only instead of
         loading them into process memory, so serving worker pools (and
         co-hosted processes) share a single page-cache copy of the
         embedding tables and row gathers touch only the pages they read.
-        v2 artifacts map their :class:`~repro.core.store.EmbeddingStore`
-        files natively; v1 artifacts unpack the ``decode.npz`` members
-        once into a ``.mmap_cache/`` directory beside the artifact and map
-        those.
+
+        Only ``format_version`` 2 artifacts are read; a version-1 artifact
+        (``decode.npz``) raises a ``ValueError`` naming its version.
         """
         directory = Path(directory)
         spec_path = directory / SPEC_FILENAME
@@ -624,45 +584,18 @@ class Aligner:
             raise FileNotFoundError(f"no {SPEC_FILENAME} under {directory}")
         payload = json.loads(spec_path.read_text())
         version = payload.get("format_version")
-        if version not in (_LEGACY_ARTIFACT_VERSION, _ARTIFACT_VERSION):
+        if version != _ARTIFACT_VERSION:
             raise ValueError(f"unsupported artifact format_version {version!r} "
-                             f"(this build reads "
-                             f"{_LEGACY_ARTIFACT_VERSION}..{_ARTIFACT_VERSION})")
+                             f"(this build reads {_ARTIFACT_VERSION}); re-fit "
+                             "and save the pipeline to write a current artifact")
         spec = PipelineSpec.from_dict(payload["spec"])
-        rounds = int(payload["num_rounds"])
-
-        if version == _ARTIFACT_VERSION:
-            store = EmbeddingStore.open(directory / STORE_DIRNAME, mmap=mmap)
-            states = store.states()
-            train_pairs = store.train_pairs
-            test_pairs = store.test_pairs
-            row_candidates = store.row_candidates()
-        else:
-            # v1 migration path: the same arrays, zipped into decode.npz.
-            # Bytes on disk are read as written by the v1 writer — the
-            # regression test pins decode equality against a v2 load.
-            if mmap:
-                arrays = _mmap_npz(directory / DECODE_FILENAME,
-                                   directory / ".mmap_cache")
-            else:
-                with np.load(directory / DECODE_FILENAME) as loaded:
-                    arrays = {name: loaded[name] for name in loaded.files}
-            states = ([arrays[f"source_state_{i}"] for i in range(rounds)],
-                      [arrays[f"target_state_{i}"] for i in range(rounds)])
-            train_pairs = arrays.get("train_pairs")
-            test_pairs = arrays.get("test_pairs")
-            row_candidates = None
-            if payload.get("has_candidates"):
-                row_candidates = RowCandidates(
-                    indptr=arrays["candidates_indptr"],
-                    indices=arrays["candidates_indices"],
-                    num_columns=int(payload["num_targets"]))
+        store = EmbeddingStore.open(directory / STORE_DIRNAME, mmap=mmap)
 
         params_path: Path | None = None
         if payload.get("has_model"):
             params_path = directory / PARAMS_FILENAME
             if not params_path.exists():
-                # Restoring without parameters would silently evaluate a
+                # Restoring without parameters would silently decode a
                 # randomly initialised model; a truncated artifact must
                 # fail loudly instead.
                 raise FileNotFoundError(
@@ -670,29 +603,8 @@ class Aligner:
                     f"{PARAMS_FILENAME} is missing — the artifact is "
                     "incomplete")
 
-        return cls(spec, states=states, row_candidates=row_candidates,
-                   candidates_ready=True, train_pairs=train_pairs,
-                   test_pairs=test_pairs, params_path=params_path)
+        return cls(spec, states=store.states(),
+                   row_candidates=store.row_candidates(),
+                   candidates_ready=True, train_pairs=store.train_pairs,
+                   test_pairs=store.test_pairs, params_path=params_path)
 
-
-def _mmap_npz(npz_path: Path, cache_dir: Path) -> dict[str, np.ndarray]:
-    """Extract ``.npz`` members once and memory-map them read-only.
-
-    ``np.load(..., mmap_mode=...)`` cannot map members inside a zip
-    archive, so they are unpacked (once, keyed on the archive's
-    size + mtime) into ``cache_dir`` and each ``.npy`` is mapped
-    read-only.  Re-saving the artifact invalidates the stamp and the
-    members are re-extracted on the next mapped load.
-    """
-    stat = npz_path.stat()
-    token = f"{stat.st_size}:{stat.st_mtime_ns}"
-    stamp = cache_dir / "source.stamp"
-    if not (stamp.exists() and stamp.read_text() == token):
-        if cache_dir.exists():
-            shutil.rmtree(cache_dir)
-        cache_dir.mkdir(parents=True)
-        with zipfile.ZipFile(npz_path) as archive:
-            archive.extractall(cache_dir)
-        stamp.write_text(token)
-    return {member.stem: np.load(member, mmap_mode="r")
-            for member in sorted(cache_dir.glob("*.npy"))}

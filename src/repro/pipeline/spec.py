@@ -20,8 +20,8 @@ spec``, and ``from_json_file`` / ``to_json_file`` move them through plain
 JSON (tuples become lists on the way out and are restored on the way in).
 Unknown keys and illegal combinations are rejected with actionable
 messages; every cross-field legality rule — candidates × ranking,
-candidates × decode, iterative × LSH, patience × cadence, backend
-coherence, sampling capability — is enforced in exactly one place,
+iterative × LSH, patience × cadence, backend coherence, sampling
+capability — is enforced in exactly one place,
 :meth:`PipelineSpec.validate`, through the shared rule functions of
 :mod:`repro.core.rules`.
 """
@@ -163,12 +163,16 @@ class ModelSpec:
 class DecodeSpec:
     """How the fitted aligner produces and ranks test-time similarities.
 
-    Mirrors the keyword surface that used to be threaded through
-    ``model.similarity`` / ``Evaluator``: decode engine (``dense`` /
-    ``blockwise`` / ``auto``), stored neighbours ``k``, encoder path
-    (``full`` / ``sampled`` + batch size), ranking (``cosine`` / ``csls``)
-    and candidate generation (``exhaustive`` or a registered generator,
-    with an optional :class:`~repro.core.ann.AnnConfig`).
+    Every decode streams through
+    :func:`~repro.core.similarity.blockwise_topk`; ``decode`` accepts
+    ``"auto"`` and ``"blockwise"``, which both name that one decode, so
+    specs and artifacts written with either still parse (``"dense"`` was
+    removed and is rejected).  The other fields set the stored neighbours
+    ``k``, the encoder path (``full`` / ``sampled`` + batch size), the
+    ranking (``cosine`` / ``csls``), candidate generation (``exhaustive``
+    or a registered generator, with an optional
+    :class:`~repro.core.ann.AnnConfig`) and whether Semantic Propagation
+    runs.
 
     ``num_workers`` shards the full-table decode across that many forked
     worker processes (:mod:`repro.core.sharded`) — bit-identical to the
@@ -397,7 +401,6 @@ class PipelineSpec:
                 f"{list(ALL_DATASETS)} or {CUSTOM_DATASET!r} with "
                 "AlignmentPipeline.fit(pair=...)")
         # -- decode coherence ------------------------------------------
-        rules.check_candidates_decode(decode.candidates, decode.decode)
         rules.check_ranking_candidates(decode.ranking, decode.candidates)
         # -- training coherence (re-run so validate() covers the full
         #    rule set even if TrainingConfig construction is bypassed) --

@@ -16,7 +16,7 @@ from repro.core.ann import (
     generate_candidates,
     recall_at_k,
 )
-from repro.core.similarity import blockwise_topk, decode_similarity
+from repro.core.similarity import blockwise_topk
 from repro.eval.evaluator import Evaluator
 from repro.eval.metrics import evaluate_alignment, ranks_from_similarity
 
@@ -335,13 +335,6 @@ class TestCandidateDecode:
         assert ranks[0] == 5           # behind all four candidates
         assert ranks[1] == 1
 
-    def test_columns_and_candidates_mutually_exclusive(self, clustered_embeddings):
-        source, target = clustered_embeddings
-        cands = generate_candidates("ivf", source, target, AnnConfig(seed=0))
-        with pytest.raises(ValueError):
-            blockwise_topk(source, target, k=3, columns=np.array([0, 1]),
-                           row_candidates=cands)
-
     def test_flops_counter_reports_subquadratic_work(self, clustered_embeddings):
         source, target = clustered_embeddings
         with flops_counter() as counter:
@@ -368,59 +361,42 @@ class TestRecallAtK:
 
 
 class TestDecodeDispatch:
-    def test_decode_similarity_candidates(self, clustered_embeddings):
-        source, target = clustered_embeddings
-        topk = decode_similarity(source, target, decode="blockwise", k=5,
-                                 candidates="ivf", ann=AnnConfig(seed=0))
-        assert topk.approximate
-        with pytest.raises(ValueError):
-            decode_similarity(source, target, decode="dense", candidates="ivf")
-        with pytest.raises(ValueError):
-            decode_similarity(source, target, candidates="faiss")
-
     def test_model_similarity_candidates(self, tiny_task):
         model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
-        exact = model.similarity(decode="blockwise", k=10)
-        approx = model.similarity(candidates="ivf",
-                                  ann=AnnConfig(nprobe=2, seed=0))
+        source, target = model.decode_states()
+        exact = blockwise_topk(source, target, k=10)
+        approx = blockwise_topk(source, target, row_candidates=generate_candidates(
+            "ivf", source, target, AnnConfig(nprobe=2, seed=0)))
         assert approx.approximate
         assert recall_at_k(approx.indices, exact.indices, k=1) > 0.3
-        escalated = model.similarity(
-            candidates="ivf", ann=AnnConfig(exact_escalation=True, seed=0))
+        escalated = blockwise_topk(source, target, row_candidates=generate_candidates(
+            "ivf", source, target, AnnConfig(exact_escalation=True, seed=0)))
         assert recall_at_k(escalated.indices, exact.indices, k=1) == 1.0
-        with pytest.raises(ValueError):
-            model.similarity(decode="dense", candidates="ivf")
-
-    def test_model_ann_seed_defaults_to_model_seed(self, tiny_task):
-        model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=3))
-        first = model.similarity(candidates="ivf")
-        second = model.similarity(candidates="ivf")
-        assert np.array_equal(first.indices, second.indices)
-        assert np.array_equal(first.scores, second.scores)
 
     def test_evaluator_candidates(self, tiny_task):
         model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
-        exact = Evaluator(tiny_task, decode="blockwise").evaluate_model(model)
-        approx = Evaluator(tiny_task, decode="blockwise", candidates="ivf",
+        exact = Evaluator(tiny_task).evaluate_model(model)
+        approx = Evaluator(tiny_task, candidates="ivf",
                            ann=AnnConfig(exact_escalation=True, seed=0)
                            ).evaluate_model(model)
         # escalated top-1 is provably exact, so H@1 cannot degrade
         assert approx.hits_at_1 == exact.hits_at_1
         with pytest.raises(ValueError, match="CSLS"):
-            Evaluator(tiny_task, decode="blockwise", candidates="ivf",
+            Evaluator(tiny_task, candidates="ivf",
                       ranking="csls").evaluate_model(model)
 
     def test_baseline_similarity_candidates(self, tiny_task):
         from repro.baselines import build_model
 
         model = build_model("EVA", tiny_task)
-        exact = model.similarity(decode="blockwise", k=10)
-        narrow = model.similarity(decode="blockwise", k=10, candidates="ivf",
-                                  ann=AnnConfig(nprobe=1, seed=0))
+        source, target = model.decode_states()
+        exact = blockwise_topk(source, target, k=10)
+        narrow = blockwise_topk(source, target, k=10, row_candidates=generate_candidates(
+            "ivf", source, target, AnnConfig(nprobe=1, seed=0)))
         assert narrow.approximate
         assert narrow.computed_cells < exact.computed_cells
-        escalated = model.similarity(decode="blockwise", k=10, candidates="ivf",
-                                     ann=AnnConfig(exact_escalation=True, seed=0))
+        escalated = blockwise_topk(source, target, k=10, row_candidates=generate_candidates(
+            "ivf", source, target, AnnConfig(exact_escalation=True, seed=0)))
         assert recall_at_k(escalated.indices, exact.indices, k=1) == 1.0
 
 
@@ -429,13 +405,10 @@ class TestBucketGroupedGather:
         """Grouped GEMM gathers keep the decode's ids exactly and its scores
         to the one-ulp BLAS reassociation bound."""
         source, target = clustered_embeddings
-        edge = decode_similarity(source, target, decode="blockwise", k=5,
-                                 candidates="ivf",
-                                 ann=AnnConfig(seed=0, nprobe=3))
-        bucket = decode_similarity(source, target, decode="blockwise", k=5,
-                                   candidates="ivf",
-                                   ann=AnnConfig(seed=0, nprobe=3,
-                                                 gather="bucket"))
+        edge = blockwise_topk(source, target, k=5, row_candidates=generate_candidates(
+            "ivf", source, target, AnnConfig(seed=0, nprobe=3)))
+        bucket = blockwise_topk(source, target, k=5, row_candidates=generate_candidates(
+            "ivf", source, target, AnnConfig(seed=0, nprobe=3, gather="bucket")))
         assert np.array_equal(edge.indices, bucket.indices)
         np.testing.assert_allclose(edge.scores, bucket.scores, atol=1e-12)
 
@@ -454,12 +427,11 @@ class TestBucketGroupedGather:
             self, clustered_embeddings):
         source, target = clustered_embeddings
         with flops_counter() as edge_counter:
-            decode_similarity(source, target, decode="blockwise", k=5,
-                              candidates="ivf", ann=AnnConfig(seed=0, nprobe=2))
+            blockwise_topk(source, target, k=5, row_candidates=generate_candidates(
+                "ivf", source, target, AnnConfig(seed=0, nprobe=2)))
         with flops_counter() as bucket_counter:
-            decode_similarity(source, target, decode="blockwise", k=5,
-                              candidates="ivf",
-                              ann=AnnConfig(seed=0, nprobe=2, gather="bucket"))
+            blockwise_topk(source, target, k=5, row_candidates=generate_candidates(
+                "ivf", source, target, AnnConfig(seed=0, nprobe=2, gather="bucket")))
         # The dense per-bucket rectangles compute at least the edge cells,
         # and both stay below the exhaustive n_s * n_t grid.
         assert bucket_counter.cells >= edge_counter.cells

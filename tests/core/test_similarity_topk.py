@@ -3,21 +3,20 @@
 import numpy as np
 import pytest
 
-from oracles import reference_csls, reference_mutual_pairs, reference_topk
-from repro.core import DESAlign, DESAlignConfig
+from oracles import (
+    reference_csls,
+    reference_mutual_pairs,
+    reference_similarity,
+    reference_topk,
+)
+from repro.core import DESAlign, DESAlignConfig, rules
 from repro.core.alignment import (
     cosine_similarity,
     csls_similarity,
     greedy_one_to_one,
     mutual_nearest_pairs,
 )
-from repro.core.similarity import (
-    DENSE_DECODE_CELL_LIMIT,
-    TopKSimilarity,
-    blockwise_topk,
-    decode_similarity,
-    resolve_decode,
-)
+from repro.core.similarity import TopKSimilarity, blockwise_topk
 from repro.eval.metrics import evaluate_alignment, ranks_from_similarity
 
 
@@ -28,18 +27,15 @@ def embeddings():
 
 
 class TestResolveDecode:
-    def test_explicit_modes_pass_through(self):
-        assert resolve_decode("dense", (10**6, 10**6)) == "dense"
-        assert resolve_decode("blockwise", (2, 2)) == "blockwise"
+    """``"auto"`` and ``"blockwise"`` both resolve to the one streaming decode."""
 
-    def test_auto_switches_on_cell_count(self):
-        assert resolve_decode("auto", (100, 100)) == "dense"
-        big = int(np.sqrt(DENSE_DECODE_CELL_LIMIT)) + 1
-        assert resolve_decode("auto", (big, big)) == "blockwise"
+    def test_explicit_modes_pass_through(self):
+        rules.check_decode_method("auto")
+        rules.check_decode_method("blockwise")
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            resolve_decode("streamed", (2, 2))
+            rules.check_decode_method("streamed")
 
 
 class TestBlockwiseTopK:
@@ -97,22 +93,6 @@ class TestBlockwiseTopK:
         assert fast._source_norm[0].dtype == np.float32
         assert np.abs(exact.scores - fast.scores).max() < 1e-5
 
-    def test_columns_restriction(self, embeddings):
-        source, target = embeddings
-        columns = np.array([0, 2, 5, 11, 16])
-        topk = blockwise_topk(source, target, k=3, block_size=4, columns=columns)
-        dense = cosine_similarity(source, target)[:, columns]
-        _, expected_scores = reference_topk(dense, topk.k)
-        assert np.allclose(topk.scores, expected_scores, atol=1e-12)
-        for row in range(23):
-            assert set(topk.indices[row]) <= set(columns.tolist())
-        assert topk.shape == (23, 17)
-
-    def test_unsorted_columns_rejected(self, embeddings):
-        source, target = embeddings
-        with pytest.raises(ValueError):
-            blockwise_topk(source, target, k=3, columns=np.array([4, 1]))
-
     def test_invalid_parameters_rejected(self, embeddings):
         source, target = embeddings
         with pytest.raises(ValueError):
@@ -158,17 +138,6 @@ class TestTopKReductions:
         with pytest.raises(TypeError, match="dense"):
             greedy_one_to_one(topk)
 
-    def test_decode_similarity_helper_matches_both_paths(self, embeddings):
-        source, target = embeddings
-        dense = decode_similarity(source, target, decode="dense")
-        assert np.allclose(dense, cosine_similarity(source, target), atol=1e-12)
-        topk = decode_similarity(source, target, decode="blockwise", k=4,
-                                 block_size=6)
-        assert isinstance(topk, TopKSimilarity)
-        assert np.allclose(topk.dense(), dense, atol=1e-12)
-        # Auto follows the cell threshold.
-        assert isinstance(decode_similarity(source, target), np.ndarray)
-
 
 class TestTopKRanks:
     def test_ranks_match_dense_with_fallback(self, embeddings):
@@ -193,33 +162,15 @@ class TestTopKRanks:
         topk = blockwise_topk(source, target, k=10, block_size=6)
         assert evaluate_alignment(topk, pairs) == evaluate_alignment(dense, pairs)
 
-    def test_restricted_decode_serves_restricted_evaluation(self, embeddings):
-        source, target = embeddings
-        pairs = np.array([[1, 2], [4, 7], [8, 13]])
-        candidates = np.unique(pairs[:, 1])
-        topk = blockwise_topk(source, target, k=2, block_size=4, columns=candidates)
-        dense = cosine_similarity(source, target)
-        assert np.array_equal(ranks_from_similarity(topk, pairs, True),
-                              ranks_from_similarity(dense, pairs, True))
-
-    def test_restricted_decode_rejects_uncovered_candidates(self, embeddings):
-        source, target = embeddings
-        topk = blockwise_topk(source, target, k=2, columns=np.array([1, 2]))
-        with pytest.raises(ValueError):
-            ranks_from_similarity(topk, np.array([[0, 5]]), True)
-        with pytest.raises(ValueError):
-            ranks_from_similarity(topk, np.array([[0, 1]]), False)
-
 
 class TestModelDecode:
     def test_similarity_decode_switch(self, tiny_task):
         model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
-        dense = model.similarity(decode="dense")
+        states = model.decode_states()
+        dense = reference_similarity(*states)
         assert isinstance(dense, np.ndarray)
-        topk = model.similarity(decode="blockwise", k=10, block_size=7)
+        topk = blockwise_topk(*states, k=10, block_size=7)
         assert isinstance(topk, TopKSimilarity)
-        # Auto stays dense below the cell threshold on this tiny task.
-        assert isinstance(model.similarity(), np.ndarray)
         metrics_dense = evaluate_alignment(dense, tiny_task.test_pairs)
         metrics_topk = evaluate_alignment(topk, tiny_task.test_pairs)
         assert abs(metrics_dense.mrr - metrics_topk.mrr) < 1e-9
@@ -227,13 +178,18 @@ class TestModelDecode:
 
     def test_decode_topk_without_propagation(self, tiny_task):
         model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
-        dense = model.similarity(use_propagation=False, decode="dense")
-        topk = model.decode_topk(use_propagation=False, k=5, block_size=9)
+        states = model.decode_states(use_propagation=False)
+        dense = reference_similarity(*states)
+        topk = blockwise_topk(*states, k=5, block_size=9)
         assert np.abs(topk.dense() - dense).max() < 1e-9
 
     def test_decode_topk_respects_last_round_rule(self, tiny_task):
         config = DESAlignConfig(hidden_dim=16, seed=0, propagation_average=False)
         model = DESAlign(tiny_task, config)
-        dense = model.similarity(decode="dense")
-        topk = model.decode_topk(k=5, block_size=9)
+        # The dense oracle on the final round of the averaging decode
+        # (same seed, hence the same parameters and propagation rounds).
+        averaging = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
+        all_source, all_target = averaging.decode_states()
+        dense = reference_similarity(all_source[-1], all_target[-1])
+        topk = blockwise_topk(*model.decode_states(), k=5, block_size=9)
         assert np.abs(topk.dense() - dense).max() < 1e-9

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oracles import reference_similarity
 from repro.core.config import DESAlignConfig, TrainingConfig
 from repro.core.losses import dirichlet_energy_tensor
 from repro.core.model import DESAlign
@@ -142,5 +143,6 @@ class TestDESAlignBackendSwitch:
         sparse_result = Trainer(sparse_model, sparse_task, training).fit()
         for key, value in dense_result.metrics.as_dict().items():
             assert sparse_result.metrics.as_dict()[key] == pytest.approx(value, abs=1e-6)
-        assert np.allclose(dense_model.similarity(), sparse_model.similarity(),
+        assert np.allclose(reference_similarity(*dense_model.decode_states()),
+                           reference_similarity(*sparse_model.decode_states()),
                            atol=1e-6)

@@ -13,7 +13,7 @@ from repro.core import (
     build_training_loop,
 )
 from repro.core.ann import IVFWarmStart, flops_counter
-from repro.core.similarity import TopKSimilarity
+from repro.core.similarity import TopKSimilarity, blockwise_topk
 
 
 @pytest.fixture(scope="module")
@@ -144,19 +144,21 @@ class TestCandidateDecodeThreading:
         config = TrainingConfig(epochs=2, eval_every=0, seed=4,
                                 candidates="ivf")
         trainer = Trainer(model, tiny_task, config)
-        kwargs = trainer.loop.pseudo_seed_decode_kwargs()
-        assert kwargs["candidates"] == "ivf"
-        assert kwargs["ann"].exact_escalation
-        assert kwargs["ann"].seed == 4          # inherited from TrainingConfig
+        assert trainer.loop.resolved_ann().seed == 4  # inherited from TrainingConfig
         similarity = trainer.loop.model_similarity()
         assert isinstance(similarity, TopKSimilarity)
+        # Escalation proves the row and column top-1 exact, so the mutual-NN
+        # selection equals the exhaustive decode's.
+        exhaustive = blockwise_topk(*model.decode_states())
+        assert (similarity.mutual_nearest_pairs()
+                == exhaustive.mutual_nearest_pairs())
 
     def test_exhaustive_config_adds_no_decode_kwargs(self, tiny_task, quick_config):
         model = DESAlign(tiny_task, quick_config)
         trainer = Trainer(model, tiny_task,
                           TrainingConfig(epochs=2, eval_every=0, seed=0))
-        assert trainer.loop.pseudo_seed_decode_kwargs() == {}
         assert trainer.loop.resolved_ann() is None
+        assert not trainer.loop.model_similarity().approximate
 
     def test_training_with_ivf_evaluation_completes(self, tiny_task, quick_config):
         model = DESAlign(tiny_task, quick_config)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import reference_csls
+from oracles import reference_csls, reference_similarity
 from repro.core.alignment import cosine_similarity
 from repro.core.similarity import blockwise_topk
 from repro.eval.evaluator import Evaluator
@@ -88,9 +88,10 @@ class TestEvaluatorCSLS:
 
         model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
         cosine = Evaluator(tiny_task).evaluate_model(model)
-        csls_dense = Evaluator(tiny_task, ranking="csls").evaluate_model(model)
-        csls_streamed = Evaluator(tiny_task, ranking="csls",
-                                  decode="blockwise").evaluate_model(model)
+        csls_dense = evaluate_alignment(
+            reference_similarity(*model.decode_states()), tiny_task.test_pairs,
+            ranking="csls")
+        csls_streamed = Evaluator(tiny_task, ranking="csls").evaluate_model(model)
         assert csls_dense.num_queries == cosine.num_queries
         for key, value in csls_dense.as_dict().items():
             assert abs(csls_streamed.as_dict()[key] - value) < 1e-9, key

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import reference_similarity
 from repro.eval import (
     AlignmentMetrics,
     Evaluator,
@@ -10,7 +11,6 @@ from repro.eval import (
     hits_at_k,
     mean_reciprocal_rank,
     ranks_from_similarity,
-    time_callable,
 )
 
 
@@ -120,18 +120,17 @@ class TestEvaluatorAndTiming:
         metrics = evaluator.evaluate_similarity(similarity)
         assert metrics.hits_at_1 == 1.0
 
-    def test_evaluator_accepts_models_without_propagation_kwarg(self, tiny_task):
+    def test_evaluator_scores_decode_states_models(self, tiny_task):
+        rng = np.random.default_rng(0)
+        source = rng.normal(size=(tiny_task.source.num_entities, 8))
+        target = rng.normal(size=(tiny_task.target.num_entities, 8))
+
         class DummyModel:
-            def similarity(self):
-                return np.random.default_rng(0).normal(
-                    size=(tiny_task.source.num_entities, tiny_task.target.num_entities))
+            def decode_states(self, use_propagation=True, encode="full",
+                              encode_batch_size=None):
+                return [source], [target]
 
         metrics = Evaluator(tiny_task).evaluate_model(DummyModel())
         assert 0.0 <= metrics.mrr <= 1.0
-
-    def test_time_callable_returns_result_and_duration(self):
-        timing, value = time_callable("square", lambda x: x * x, 7)
-        assert value == 49
-        assert timing.seconds >= 0.0
-        assert timing.label == "square"
-        assert "total_seconds" in timing.as_dict()
+        assert metrics == evaluate_alignment(reference_similarity(source, target),
+                                             tiny_task.test_pairs)

@@ -17,11 +17,35 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "reference_similarity",
     "reference_ranks",
     "reference_csls",
     "reference_mutual_pairs",
     "reference_topk",
 ]
+
+
+def reference_similarity(source_states, target_states) -> np.ndarray:
+    """The round-averaged dense cosine similarity (Algorithm 1, line 15).
+
+    Each round's states are L2-normalised (``x / max(‖x‖, 1e-12)``), their
+    cosine matrix is materialised in full, and the matrices are averaged
+    over rounds — the ``n_s x n_t`` matrix every streaming decode reduces.
+    Accepts single matrices or the per-round lists ``decode_states()``
+    returns.
+    """
+    if isinstance(source_states, np.ndarray):
+        source_states, target_states = [source_states], [target_states]
+    rounds = []
+    for source, target in zip(source_states, target_states, strict=True):
+        source = np.asarray(source, dtype=np.float64)
+        target = np.asarray(target, dtype=np.float64)
+        source = source / np.maximum(
+            np.linalg.norm(source, axis=1, keepdims=True), 1e-12)
+        target = target / np.maximum(
+            np.linalg.norm(target, axis=1, keepdims=True), 1e-12)
+        rounds.append(source @ target.T)
+    return np.mean(rounds, axis=0)
 
 
 def reference_ranks(similarity, test_pairs, restrict_candidates: bool = True) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Back-compat shims: legacy call patterns warn, keep working, and agree
-with the facade; every consolidated legality rule still rejects from every
-entry surface with its single-source message."""
+"""Engine entry points agree with the facade without warnings; every
+consolidated legality rule still rejects from every entry surface with its
+single-source message."""
 
 import warnings
 
@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.config import DESAlignConfig, TrainingConfig
 from repro.core.model import DESAlign
+from repro.core.similarity import blockwise_topk
 from repro.core.task import prepare_task
 from repro.core.trainer import Trainer
 from repro.data.benchmarks import load_benchmark
@@ -34,15 +35,15 @@ def tiny_model(tiny_task):
 
 
 class TestTrainerShim:
-    def test_trainer_warns_with_spec_equivalent(self, tiny_task, tiny_model):
-        with pytest.warns(DeprecationWarning, match="AlignmentPipeline.from_spec"):
+    def test_trainer_does_not_warn(self, tiny_task, tiny_model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
             Trainer(tiny_model, tiny_task, TrainingConfig(epochs=1, eval_every=0))
 
     def test_trainer_result_equals_facade_result(self, tiny_task):
         config = TrainingConfig(epochs=2, eval_every=0, seed=0)
         model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
-        with pytest.warns(DeprecationWarning):
-            legacy = Trainer(model, tiny_task, config).fit()
+        legacy = Trainer(model, tiny_task, config).fit()
 
         spec = PipelineSpec(
             data=DataSpec(dataset="custom", num_entities=36, seed=0),
@@ -54,22 +55,13 @@ class TestTrainerShim:
 
 
 class TestSimilarityShim:
-    def test_legacy_decode_kwarg_warns_with_decode_spec(self, tiny_model):
-        with pytest.warns(DeprecationWarning, match="DecodeSpec\\(decode='blockwise'"):
-            legacy = tiny_model.similarity(decode="blockwise", k=4)
-        assert legacy.k >= 4
-
-    def test_legacy_candidates_kwarg_warns(self, tiny_model):
-        with pytest.warns(DeprecationWarning, match="candidates='ivf'"):
-            tiny_model.similarity(decode="blockwise", candidates="ivf")
-
     def test_default_similarity_call_does_not_warn(self, tiny_model):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            tiny_model.similarity()
+            blockwise_topk(*tiny_model.decode_states())
 
     def test_evaluator_path_does_not_warn(self, tiny_task, tiny_model):
-        evaluator = Evaluator(tiny_task, decode="blockwise")
+        evaluator = Evaluator(tiny_task)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             evaluator.evaluate_model(tiny_model)
@@ -82,18 +74,10 @@ class TestSimilarityShim:
             decode=DecodeSpec(decode="blockwise", k=5),
         )
         aligner = AlignmentPipeline.from_spec(spec).fit(tiny_task)
-        with pytest.warns(DeprecationWarning):
-            legacy = aligner.model.similarity(decode="blockwise", k=5)
+        legacy = blockwise_topk(*aligner.model.decode_states(), k=5)
         facade = aligner.topk()
         assert np.array_equal(legacy.indices, facade.indices)
         assert np.array_equal(legacy.scores, facade.scores)
-
-    def test_baseline_similarity_shim(self, tiny_task):
-        from repro.baselines import EVA
-
-        model = EVA(tiny_task)
-        with pytest.warns(DeprecationWarning, match="EVA.similarity"):
-            model.similarity(decode="blockwise")
 
 
 class TestConsolidatedRules:
@@ -119,17 +103,7 @@ class TestConsolidatedRules:
         with pytest.raises(ValueError, match="CSLS"):
             Evaluator(tiny_task, ranking="csls", candidates="ivf")
 
-    def test_evaluator_rejects_dense_decode_with_candidates(self, tiny_task):
-        with pytest.raises(ValueError, match="incompatible with decode='dense'"):
-            Evaluator(tiny_task, decode="dense", candidates="lsh")
-
-    def test_model_similarity_rejects_dense_with_candidates(self, tiny_model):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="incompatible with decode='dense'"):
-                tiny_model.similarity(decode="dense", candidates="ivf")
-
-    def test_messages_are_identical_across_surfaces(self, tiny_task, tiny_model):
+    def test_messages_are_identical_across_surfaces(self, tiny_task):
         """The same rule produces byte-identical messages on every surface."""
         def capture(callable_):
             with pytest.raises(ValueError) as info:
@@ -141,13 +115,3 @@ class TestConsolidatedRules:
         evaluator_csls = capture(lambda: Evaluator(tiny_task, ranking="csls",
                                                    candidates="ivf"))
         assert spec_csls == evaluator_csls
-
-        spec_dense = capture(lambda: PipelineSpec(
-            decode=DecodeSpec(decode="dense", candidates="ivf")).validate())
-        evaluator_dense = capture(lambda: Evaluator(tiny_task, decode="dense",
-                                                    candidates="ivf"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            model_dense = capture(lambda: tiny_model.similarity(
-                decode="dense", candidates="ivf"))
-        assert spec_dense == evaluator_dense == model_dense

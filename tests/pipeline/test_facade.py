@@ -165,9 +165,7 @@ class TestLegacyParity:
         task = prepare_task(pair, structure_dim=16, seed=0, backend="dense")
         model = DESAlign(task, DESAlignConfig(hidden_dim=16, seed=0,
                                               propagation_iters=2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = Trainer(model, task, spec.training).fit()
+        result = Trainer(model, task, spec.training).fit()
         assert result.metrics == aligner.metrics
 
     def test_facade_emits_no_deprecation_warnings(self):
@@ -196,9 +194,9 @@ class TestPersistence:
         # regenerating the benchmark or building a model...
         loaded.align()
         assert loaded.model is None and loaded.task is None
-        # ...and the model materialises on the first operation needing it.
+        # ...and evaluate scores that cached decode, still model-free.
         loaded.evaluate()
-        assert loaded.model is not None
+        assert loaded.model is None
 
     def test_save_load_restores_model_parameters(self, fitted, tmp_path):
         fitted.save(tmp_path / "artifact")
@@ -264,8 +262,7 @@ class TestPersistence:
         assert np.array_equal(sibling.align().target_ids,
                               loaded.align(k=3).target_ids)
 
-    def test_mmap_load_is_bit_identical_and_reuses_extraction(
-            self, fitted, tmp_path):
+    def test_mmap_load_is_bit_identical(self, fitted, tmp_path):
         directory = fitted.save(tmp_path / "artifact")
         mapped = Aligner.load(directory, mmap=True)
         # decode states are served from read-only memory maps ...
@@ -279,19 +276,8 @@ class TestPersistence:
         assert np.array_equal(mapped.align().scores, plain.align().scores)
         assert np.array_equal(mapped.rank([0, 5]).scores,
                               plain.rank([0, 5]).scores)
-        # v2 maps the store's .npy files natively — no extraction cache
+        # the store's .npy files are mapped natively — no extraction cache
         assert not (directory / ".mmap_cache").exists()
-        # v1 artifacts unpack decode.npz once and reuse the extraction
-        # (stamp unchanged on the second mapped load)
-        legacy = fitted.save(tmp_path / "legacy", format_version=1)
-        legacy_mapped = Aligner.load(legacy, mmap=True)
-        assert np.array_equal(legacy_mapped.align().scores,
-                              plain.align().scores)
-        stamp = legacy / ".mmap_cache" / "source.stamp"
-        token = stamp.read_text()
-        again = Aligner.load(legacy, mmap=True)
-        assert stamp.read_text() == token
-        assert np.array_equal(again.align().scores, plain.align().scores)
 
     def test_decode_fingerprint_tracks_the_spec(self, fitted, tmp_path):
         directory = fitted.save(tmp_path / "artifact")
@@ -312,6 +298,81 @@ class TestPersistence:
         (directory / "spec.json").write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="format_version"):
             Aligner.load(directory)
+
+    def test_load_rejects_version_1_artifact(self, fitted, tmp_path):
+        import json
+        directory = fitted.save(tmp_path / "artifact")
+        payload = json.loads((directory / "spec.json").read_text())
+        payload["format_version"] = 1
+        (directory / "spec.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="format_version 1"):
+            Aligner.load(directory)
+
+    def test_loaded_preset_artifact_evaluates_without_propagation(
+            self, fitted, tmp_path):
+        directory = fitted.save(tmp_path / "artifact")
+        loaded = Aligner.load(directory)
+        decode = DecodeSpec(k=5, use_propagation=False)
+        # The artifact caches propagated states only, so the sibling
+        # rebuilds the preset's model from the saved parameters.
+        sibling = loaded.with_decode(decode)
+        assert sibling.evaluate() == fitted.with_decode(decode).evaluate()
+        assert sibling.model is not None
+        assert loaded.model is None
+
+
+#: One spec per model family, each with training and decode settings that
+#: match, so fit-time and artifact evaluations decode the same states.
+_PARITY_SPECS = {
+    "desalign-full-iterative": (
+        ModelSpec(name="DESAlign", hidden_dim=16,
+                  options={"propagation_iters": 2}),
+        TrainingConfig(epochs=2, eval_every=0, iterative=True,
+                       iterative_rounds=1, iterative_epochs=1, seed=0),
+        DecodeSpec(k=5)),
+    "desalign-neighbour": (
+        ModelSpec(name="DESAlign", hidden_dim=16,
+                  options={"propagation_iters": 2}),
+        TrainingConfig(epochs=2, eval_every=0, sampling="neighbour",
+                       fanouts=(4, 4), seed=0),
+        DecodeSpec(k=5, encode="sampled")),
+    "eva": (ModelSpec(name="EVA", hidden_dim=16),
+            TrainingConfig(epochs=2, eval_every=0, seed=0), DecodeSpec(k=5)),
+    "transe": (ModelSpec(name="TransE", hidden_dim=16),
+               TrainingConfig(epochs=2, eval_every=0, seed=0),
+               DecodeSpec(k=5)),
+}
+
+
+class TestOneDecodePath:
+    """Fit-time, in-memory and reloaded evaluations score one decode."""
+
+    @pytest.mark.parametrize("name", sorted(_PARITY_SPECS))
+    def test_fit_evaluate_and_reload_metrics_agree(self, name, tmp_path):
+        model, training, decode = _PARITY_SPECS[name]
+        spec = PipelineSpec(
+            data=DataSpec(dataset="FBDB15K", num_entities=40, seed_ratio=0.3,
+                          seed=0),
+            model=model, training=training, decode=decode)
+        aligner = AlignmentPipeline.from_spec(spec).fit()
+        loaded = Aligner.load(aligner.save(tmp_path / "artifact"))
+        assert aligner.metrics == aligner.evaluate() == loaded.evaluate()
+        assert loaded.model is None
+
+    def test_approximate_artifact_evaluates_at_h10_after_reload(self, tmp_path):
+        # An IVF decode with k=5 stores five neighbours per row; both the
+        # in-memory and the reloaded evaluation must still rank at k=10.
+        pair = load_benchmark("FBDB15K", num_entities=300)
+        ann = AnnConfig(n_clusters=8, nprobe=2)
+        spec = PipelineSpec(
+            data=DataSpec(dataset="custom", num_entities=300, seed=0),
+            training=TrainingConfig(epochs=5, eval_every=0, seed=0,
+                                    candidates="ivf", ann=ann),
+            decode=DecodeSpec(k=5, candidates="ivf", ann=ann))
+        aligner = AlignmentPipeline.from_spec(spec).fit(pair)
+        loaded = Aligner.load(aligner.save(tmp_path / "artifact"))
+        assert aligner.metrics == aligner.evaluate() == loaded.evaluate()
+        assert loaded.align().approximate
 
 
 class TestRegistryExtension:

@@ -152,9 +152,15 @@ class TestValidation:
                                            candidates="ivf")).validate()
 
     def test_dense_decode_refuses_candidates(self):
-        with pytest.raises(ValueError, match="incompatible with decode='dense'"):
-            PipelineSpec(decode=DecodeSpec(decode="dense",
-                                           candidates="lsh")).validate()
+        # The dense decode was removed outright, with or without candidates.
+        with pytest.raises(ValueError, match="decode='dense' was removed"):
+            DecodeSpec(decode="dense", candidates="lsh")
+        with pytest.raises(ValueError, match="decode='dense' was removed"):
+            PipelineSpec.from_dict({"decode": {"decode": "dense"}})
+        # Both surviving names parse: they denote the one streaming decode.
+        for name in ("auto", "blockwise"):
+            spec = PipelineSpec.from_dict({"decode": {"decode": name}})
+            assert spec.decode.decode == name
 
     def test_iterative_refuses_lsh(self):
         # TrainingConfig rejects this at construction (same rule function);

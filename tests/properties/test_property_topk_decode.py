@@ -96,17 +96,6 @@ class TestExactTieEquivalence:
         assert topk.mutual_nearest_pairs(threshold, exclude_source, exclude_target) \
             == reference_mutual_pairs(dense, threshold, exclude_source, exclude_target)
 
-    @SETTINGS
-    @given(exact_tie_case())
-    def test_restricted_decode_matches_restricted_evaluation(self, case):
-        source, target, k, block_size, _, test_pairs = case
-        dense = cosine_similarity(source, target)
-        candidates = np.unique(test_pairs[:, 1])
-        topk = blockwise_topk(source, target, k=k, block_size=block_size,
-                              columns=candidates)
-        assert np.array_equal(ranks_from_similarity(topk, test_pairs, True),
-                              ranks_from_similarity(dense, test_pairs, True))
-
 
 @st.composite
 def continuous_case(draw, max_entities=20, max_dim=6):

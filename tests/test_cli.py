@@ -114,9 +114,7 @@ class TestRunCommand:
             main(["run", "--config", str(spec_path)])
 
     def test_run_matches_equivalent_legacy_train_invocation(self, capsys, tmp_path):
-        """Acceptance: spec-driven run == legacy kwarg path on H@1/H@10/MRR."""
-        import warnings
-
+        """Acceptance: spec-driven run == direct Trainer path on H@1/H@10/MRR."""
         from repro.core.config import DESAlignConfig, TrainingConfig
         from repro.core.model import DESAlign
         from repro.core.task import prepare_task
@@ -132,10 +130,8 @@ class TestRunCommand:
         pair = load_benchmark("FBDB15K", seed_ratio=0.3, num_entities=36)
         task = prepare_task(pair, structure_dim=16, seed=0, backend="dense")
         model = DESAlign(task, DESAlignConfig(hidden_dim=16, seed=0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = Trainer(model, task,
-                             TrainingConfig(epochs=2, eval_every=0, seed=0)).fit()
+        legacy = Trainer(model, task,
+                         TrainingConfig(epochs=2, eval_every=0, seed=0)).fit()
         assert run_metrics_line == f"metrics: {legacy.metrics}"
 
 
