@@ -5,9 +5,10 @@ The decode stack's fourth scaling layer: PR 2 bounded decode *memory*
 benchmark exercises the out-of-core layer that lets both run when the
 embedding tables themselves no longer belong in the parent process —
 synthesising the tables straight into an :class:`~repro.core.store.
-EmbeddingStore` chunk by chunk, building a bucket-grouped candidate CSR on
-memory-mapped inputs, and decoding via forked row-shard workers that fault
-in only the pages they score.
+EmbeddingStore` chunk by chunk, building an escalated IVF candidate CSR on
+memory-mapped inputs, and decoding via forked row-shard workers that gather
+one per-edge dot product per candidate cell and fault in only the pages
+they score.
 
 ``REPRO_BENCH_SCALE`` picks the scale: ``smoke`` (50,000 entities — the
 default, also run by CI), ``mid`` (200,000), ``full`` (1,000,000 — the
@@ -44,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.ann import GroupedRowCandidates, IVFIndex, _normalize_rows, flops_counter
+from repro.core.ann import IVFIndex, RowCandidates, _normalize_rows, flops_counter
 from repro.core.similarity import blockwise_topk
 from repro.core.store import EmbeddingStore, allocate_npy
 
@@ -180,22 +181,23 @@ def _build_store(workdir_str: str, num_entities: int) -> dict:
             parts.append(chunk.indices)
             indptr[lo + 1:hi + 1] = total + chunk.indptr[1:]
             total += int(chunk.indptr[-1])
-        grouped = GroupedRowCandidates(
-            indptr=indptr, indices=np.concatenate(parts),
-            num_columns=num_entities, bucket_of=index.assignments)
+        candidates = RowCandidates(indptr=indptr,
+                                   indices=np.concatenate(parts),
+                                   num_columns=num_entities)
         del parts
         # Top up any deficient rows *here*, in the child: the decode calls
         # ``padded(k)`` and a deficient row would make the parent rebuild
         # the whole CSR in memory, defeating the out-of-core layout.
-        grouped = grouped.padded(PAD_MIN)
+        candidates = candidates.padded(PAD_MIN)
         EmbeddingStore.create(workdir / "store", source_states=[source],
-                              target_states=[target], row_candidates=grouped,
+                              target_states=[target],
+                              row_candidates=candidates,
                               block_size=BLOCK_SIZE)
     return {
         "build_seconds": time.perf_counter() - start,
         "build_cells": int(counter.cells),
         "build_rss_mb": _self_rss_mb(),
-        "candidate_total": int(grouped.total),
+        "candidate_total": int(candidates.total),
         "n_clusters": int(index.n_clusters),
     }
 

@@ -28,7 +28,6 @@ from .losses import (
 from .propagation import SemanticPropagation, PropagationResult, closed_form_interpolation
 from .ann import (
     AnnConfig,
-    GroupedRowCandidates,
     IVFIndex,
     RandomHyperplaneLSH,
     RowCandidates,
@@ -83,7 +82,6 @@ __all__ = [
     "PropagationResult",
     "closed_form_interpolation",
     "AnnConfig",
-    "GroupedRowCandidates",
     "IVFIndex",
     "RandomHyperplaneLSH",
     "RowCandidates",

@@ -52,7 +52,6 @@ from .registries import CANDIDATE_REGISTRY, register_candidate_generator
 __all__ = [
     "AnnConfig",
     "RowCandidates",
-    "GroupedRowCandidates",
     "IVFIndex",
     "IVFWarmStart",
     "RandomHyperplaneLSH",
@@ -164,14 +163,12 @@ class AnnConfig:
         recall for FLOPs — the top-1 exactness proof no longer holds, so
         combine with ``exact_escalation`` only where near-exact suffices.
     gather:
-        How the restricted decode materialises candidate cells:
-        ``"edge"`` (default) gathers one dot product per candidate edge via
-        ``einsum``; ``"bucket"`` (IVF only) groups each block's cells by
-        IVF bucket and decodes every (query group, bucket) pair with one
-        dense matmul — same cells, GEMM throughput.  BLAS accumulation
-        order differs from the per-edge gather, so scores may move in the
-        last ulp; keep ``"edge"`` where bit-stability against existing
-        decodes matters.
+        How the restricted decode materialises candidate cells.  Only
+        ``"edge"`` remains: one ``einsum`` dot product per candidate edge,
+        computed from that edge's own two rows, so no batch composition can
+        move a bit.  The field stays because saved specs write it;
+        ``"bucket"`` (the per-bucket GEMM gather, whose rounding depended on
+        which rows shared a rectangle) was removed and is rejected.
     train_size:
         Optional cap on the vectors k-means trains on: Lloyd iterates on a
         seeded subsample of this size, then every vector is assigned to the
@@ -210,8 +207,13 @@ class AnnConfig:
             raise ValueError("min_candidates must be positive")
         if self.adaptive_slack < 0.0:
             raise ValueError("adaptive_slack must be non-negative")
-        if self.gather not in ("edge", "bucket"):
-            raise ValueError("gather must be 'edge' or 'bucket'")
+        if self.gather == "bucket":
+            raise ValueError(
+                "gather='bucket' was removed: its GEMM rounding depended on "
+                "which rows shared a bucket rectangle, so served row subsets "
+                "could differ from the full decode; use gather='edge'")
+        if self.gather != "edge":
+            raise ValueError("gather must be 'edge'")
         if self.train_size is not None and self.train_size <= 0:
             raise ValueError("train_size must be positive")
 
@@ -329,8 +331,12 @@ class RowCandidates:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def is_complete(self) -> bool:
-        """True when every row holds every column (exhaustive coverage)."""
-        return bool(np.all(self.counts == self.num_columns))
+        """True when every row holds every column (exhaustive coverage).
+
+        Exact from the total alone: a row's ids are unique, so no row can
+        hold more than ``num_columns`` of them.
+        """
+        return self.total == self.num_rows * self.num_columns
 
     # ------------------------------------------------------------------
     def union(self, other: "RowCandidates") -> "RowCandidates":
@@ -364,41 +370,13 @@ class RowCandidates:
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         if len(rows) and (rows.min() < 0 or rows.max() >= self.num_rows):
             raise ValueError("row ids out of range")
-        counts = self.counts[rows]
-        positions = _flat_bucket_positions(self.indptr[rows], counts)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        positions = _flat_bucket_positions(starts, counts)
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return RowCandidates(indptr=indptr, indices=self.indices[positions],
                              num_columns=self.num_columns)
-
-    # ------------------------------------------------------------------
-    def gather_values(self, source_norm: list[np.ndarray],
-                      target_norm: list[np.ndarray],
-                      start: int, stop: int,
-                      rows_local: np.ndarray, cols: np.ndarray,
-                      dtype) -> np.ndarray:
-        """Round-averaged similarity of the block's candidate cells.
-
-        ``rows_local`` / ``cols`` name the cells of decode rows
-        ``[start, stop)`` (``rows_local`` relative to ``start``); the return
-        value is float64, aligned with ``cols``.  The base implementation is
-        the per-edge ``einsum`` gather; :class:`GroupedRowCandidates`
-        overrides it with one dense matmul per IVF bucket.  Every cell's
-        value depends only on its own two rows, so the decode engine may
-        call this for any row range — sharded and single-process scans
-        compute identical values.
-        """
-        num_rounds = len(source_norm)
-        count_dot_products(len(cols) * num_rounds)
-        values = np.zeros(len(cols), dtype=dtype)
-        for round_index in range(num_rounds):
-            values = values + np.einsum(
-                "ed,ed->e", source_norm[round_index][start + rows_local],
-                target_norm[round_index][cols])
-        values = np.asarray(values, dtype=np.float64)
-        if num_rounds > 1:
-            values = values / num_rounds
-        return values
 
     def padded(self, min_count: int) -> "RowCandidates":
         """Ensure every row holds at least ``min_count`` candidates.
@@ -435,82 +413,6 @@ class RowCandidates:
                                extra_rows])
         cols = np.concatenate([self.indices, extra_cols])
         return RowCandidates.from_pairs(rows, cols, self.num_rows, self.num_columns)
-
-
-@dataclass
-class GroupedRowCandidates(RowCandidates):
-    """Candidate sets that know each target column's IVF bucket.
-
-    The extra ``bucket_of`` map (one bucket id per target column, from the
-    forward IVF index's assignments) lets :meth:`gather_values` regroup a
-    decode block's candidate cells by bucket and compute each
-    (query group, bucket) pair with one dense matmul instead of per-edge
-    ``einsum`` — IVF candidates are exactly block-structured this way,
-    since a query that probes a bucket holds *all* its members.  Cells that
-    break the structure (padding top-ups, reverse-escalation unions) just
-    make their bucket's rectangle slightly sparser; the matmul computes the
-    covering rectangle and the gather keeps only the candidate cells.
-
-    The CSR invariants (and therefore every selection/tie-break rule of the
-    restricted decode) are untouched — only the numeric gather changes, so
-    scores may differ from the per-edge path in the last ulp (BLAS
-    accumulation order).  Set-algebra helpers (``union``, ``select_rows``,
-    ``transposed``) intentionally return plain :class:`RowCandidates`.
-    """
-
-    bucket_of: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.bucket_of is None:
-            raise ValueError("bucket_of is required")
-        self.bucket_of = np.asarray(self.bucket_of, dtype=np.int64)
-        if self.bucket_of.ndim != 1 or len(self.bucket_of) != self.num_columns:
-            raise ValueError("bucket_of must map every target column to a bucket")
-
-    @classmethod
-    def from_candidates(cls, base: RowCandidates,
-                        bucket_of: np.ndarray) -> "GroupedRowCandidates":
-        return cls(indptr=base.indptr, indices=base.indices,
-                   num_columns=base.num_columns, bucket_of=bucket_of)
-
-    def padded(self, min_count: int) -> "GroupedRowCandidates":
-        base = super().padded(min_count)
-        if base is self:
-            return self
-        return GroupedRowCandidates.from_candidates(base, self.bucket_of)
-
-    def gather_values(self, source_norm: list[np.ndarray],
-                      target_norm: list[np.ndarray],
-                      start: int, stop: int,
-                      rows_local: np.ndarray, cols: np.ndarray,
-                      dtype) -> np.ndarray:
-        num_rounds = len(source_norm)
-        values = np.empty(len(cols), dtype=np.float64)
-        if not len(cols):
-            return values
-        buckets = self.bucket_of[cols]
-        order = np.argsort(buckets, kind="stable")
-        sorted_buckets = buckets[order]
-        edges = np.flatnonzero(sorted_buckets[1:] != sorted_buckets[:-1]) + 1
-        segments = np.concatenate([[0], edges, [len(order)]])
-        cells = 0
-        for seg in range(len(segments) - 1):
-            idx = order[segments[seg]:segments[seg + 1]]
-            unique_rows, row_pos = np.unique(rows_local[idx], return_inverse=True)
-            unique_cols, col_pos = np.unique(cols[idx], return_inverse=True)
-            cells += len(unique_rows) * len(unique_cols)
-            block = (source_norm[0][start + unique_rows]
-                     @ target_norm[0][unique_cols].T)
-            for round_index in range(1, num_rounds):
-                block = block + (source_norm[round_index][start + unique_rows]
-                                 @ target_norm[round_index][unique_cols].T)
-            block = np.asarray(block, dtype=np.float64)
-            if num_rounds > 1:
-                block = block / num_rounds
-            values[idx] = block[row_pos, col_pos]
-        count_dot_products(cells * num_rounds)
-        return values
 
 
 # ---------------------------------------------------------------------------
@@ -624,15 +526,7 @@ class IVFIndex:
                 previous_assignments = None
         self.assignments = self._assign(vectors, centroids)
         self.centroids = centroids
-
-        # The stable argsort groups members by cluster while keeping ids
-        # ascending within every bucket — the order the candidate decode's
-        # tie semantics rely on.
-        order = np.argsort(self.assignments, kind="stable")
-        self.bucket_indices = order.astype(np.int64)
-        bucket_counts = np.bincount(self.assignments, minlength=self.n_clusters)
-        self.bucket_indptr = np.zeros(self.n_clusters + 1, dtype=np.int64)
-        np.cumsum(bucket_counts, out=self.bucket_indptr[1:])
+        self.rebuild_buckets()
 
         radii = np.zeros(self.n_clusters, dtype=np.float64)
         for lo in range(0, num, self.ASSIGN_CHUNK):
@@ -648,6 +542,20 @@ class IVFIndex:
         self.num_inserted = 0
 
     # ------------------------------------------------------------------
+    def rebuild_buckets(self) -> None:
+        """Rebuild the bucket CSR (``bucket_indptr``/``bucket_indices``).
+
+        Derived from ``assignments`` alone, so callers that change
+        assignments in place call this afterwards.  The stable argsort
+        groups members by cluster while keeping ids ascending within every
+        bucket — the order the candidate decode's tie semantics rely on.
+        """
+        order = np.argsort(self.assignments, kind="stable")
+        self.bucket_indices = order.astype(np.int64)
+        bucket_counts = np.bincount(self.assignments, minlength=self.n_clusters)
+        self.bucket_indptr = np.zeros(self.n_clusters + 1, dtype=np.int64)
+        np.cumsum(bucket_counts, out=self.bucket_indptr[1:])
+
     def _assign(self, vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         """Nearest centroid (Euclidean) per vector; first index wins ties.
 
@@ -708,11 +616,7 @@ class IVFIndex:
         self.vectors = np.concatenate(
             [np.asarray(self.vectors, dtype=np.float64), new_vectors])
         self.assignments = np.concatenate([self.assignments, assignments])
-        order = np.argsort(self.assignments, kind="stable")
-        self.bucket_indices = order.astype(np.int64)
-        bucket_counts = np.bincount(self.assignments, minlength=self.n_clusters)
-        self.bucket_indptr = np.zeros(self.n_clusters + 1, dtype=np.int64)
-        np.cumsum(bucket_counts, out=self.bucket_indptr[1:])
+        self.rebuild_buckets()
         deltas = new_vectors - self.centroids[assignments]
         np.maximum.at(self.radii, assignments, np.linalg.norm(deltas, axis=1))
         self.num_inserted += len(new_vectors)
@@ -922,11 +826,6 @@ def _lsh_candidates(source_concat: np.ndarray, target_concat: np.ndarray,
         raise ValueError(
             "exact_escalation is only available for candidates='ivf': "
             "random-hyperplane LSH has no bound proving a top-1 exact")
-    if config.gather == "bucket":
-        raise ValueError(
-            "gather='bucket' is only available for candidates='ivf': LSH "
-            "tables overlap, so no disjoint bucket partition exists to "
-            "group the gather by")
     index = RandomHyperplaneLSH(target_concat, tables=config.tables,
                                 hyperplanes=config.hyperplanes,
                                 seed=config.resolved_seed())
@@ -969,15 +868,8 @@ def _ivf_candidates(source_concat: np.ndarray, target_concat: np.ndarray,
         reverse_index = build(source_concat, "reverse", seed + 1)
         reverse = reverse_index.escalated_candidates(target_concat,
                                                      slack=config.adaptive_slack)
-        result = forward.union(reverse.transposed())
-    else:
-        result = index.candidates(source_concat, nprobe=config.nprobe)
-    if config.gather == "bucket":
-        # The bucket map of the forward (target-side) index groups any
-        # candidate set over the same target space, including the
-        # reverse-escalation union's extra cells.
-        result = GroupedRowCandidates.from_candidates(result, index.assignments)
-    return result
+        return forward.union(reverse.transposed())
+    return index.candidates(source_concat, nprobe=config.nprobe)
 
 
 def generate_candidates(method: str, source, target,

@@ -9,12 +9,13 @@ single-process engine would, and ships its partial reduction back to the
 parent for merging.
 
 Three properties make the parallel result bit-identical to the serial one
-on complete candidate sets (pinned by ``tests/properties/
-test_property_sharded.py`` against the brute-force oracles):
+(pinned by ``tests/properties/test_property_sharded.py`` against the
+brute-force oracles):
 
 * shard boundaries are multiples of ``block_size``, so every worker issues
   the very same block GEMMs the serial scan would (float summation order
-  inside each block is unchanged);
+  inside each block is unchanged), and a candidate gather computes each
+  cell from its own two rows wherever the row lands;
 * normalisation is row-local and performed once by the caller — workers
   receive the already-normalised tables;
 * :func:`~repro.core.similarity.merge_partials` resolves cross-shard
@@ -101,22 +102,12 @@ _FORK_STATE: dict | None = None
 
 
 def _run_shard(bounds: tuple[int, int]):
-    from .similarity import compute_partial_topk, compute_partial_topk_candidates
+    from .similarity import scan_rows
 
     state = _FORK_STATE
     assert state is not None, "worker forked without published state"
-    row_start, row_stop = bounds
-    if state["kind"] == "exhaustive":
-        partial = compute_partial_topk(
-            state["source_norm"], state["target_norm"], row_start, row_stop,
-            k_keep=state["k_keep"], csls_k_col=state["csls_k_col"],
-            block_size=state["block_size"])
-    else:
-        partial = compute_partial_topk_candidates(
-            state["source_norm"], state["target_norm"],
-            state["row_candidates"], row_start, row_stop,
-            k_keep=state["k_keep"], block_size=state["block_size"],
-            dtype=state["dtype"])
+    partial = scan_rows(state["source_norm"], state["target_norm"], *bounds,
+                        **state["scan"])
     if state["report_rss"]:
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         # ru_maxrss is kilobytes on Linux, bytes on macOS.
@@ -127,7 +118,6 @@ def _run_shard(bounds: tuple[int, int]):
 
 def scan_partials_parallel(source_norm: list[np.ndarray],
                            target_norm: list[np.ndarray], *,
-                           kind: str,
                            num_workers: int,
                            block_size: int,
                            k_keep: int,
@@ -136,30 +126,24 @@ def scan_partials_parallel(source_norm: list[np.ndarray],
                            dtype=np.float64):
     """Scan all source rows as ``num_workers`` forked row shards.
 
-    ``kind`` selects the scan: ``"exhaustive"`` (block GEMMs; needs
-    ``csls_k_col``) or ``"candidates"`` (sparse gathers; needs an already
-    padded ``row_candidates``).  Returns the per-shard
+    Each shard runs :func:`~repro.core.similarity.scan_rows`: block GEMMs
+    when ``row_candidates`` is ``None`` (``csls_k_col`` sets the CSLS
+    column depth), otherwise per-edge gathers over the already padded
+    ``row_candidates``.  Returns the per-shard
     :class:`~repro.core.similarity.PartialTopK` list in shard order —
     callers merge with :func:`~repro.core.similarity.merge_partial_topk`,
     whose result is invariant to that order.
     """
-    if kind not in ("exhaustive", "candidates"):
-        raise ValueError("kind must be 'exhaustive' or 'candidates'")
-    if kind == "candidates" and row_candidates is None:
-        raise ValueError("kind='candidates' needs row_candidates")
     num_rows = source_norm[0].shape[0]
     bounds = shard_boundaries(num_rows, num_workers, block_size)
 
     global _FORK_STATE
     state = {
-        "kind": kind,
         "source_norm": source_norm,
         "target_norm": target_norm,
-        "row_candidates": row_candidates,
-        "k_keep": k_keep,
-        "csls_k_col": csls_k_col,
-        "block_size": block_size,
-        "dtype": dtype,
+        "scan": dict(k_keep=k_keep, csls_k_col=csls_k_col,
+                     block_size=block_size, row_candidates=row_candidates,
+                     dtype=dtype),
         "report_rss": True,
     }
 

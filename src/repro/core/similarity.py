@@ -45,6 +45,8 @@ __all__ = [
     "blockwise_topk",
     "compute_partial_topk",
     "compute_partial_topk_candidates",
+    "scan_rows",
+    "topk_from_partial",
     "merge_partials",
     "merge_partial_topk",
     "DEFAULT_BLOCK_SIZE",
@@ -390,11 +392,13 @@ def blockwise_topk(source, target, k: int = 10,
         ``k`` of the CSLS local-scaling means (10 in the literature).
     row_candidates:
         Optional per-row candidate sets from :mod:`repro.core.ann`; the
-        block loop then gathers only the candidate cells (a sparse gather
-        instead of full block matmuls), dropping decode FLOPs below
-        ``O(n_s · n_t)``.  A *complete* candidate set (every row holds
-        every column — e.g. IVF with ``nprobe == n_clusters``) dispatches
-        to the exhaustive GEMM path, reproducing it bit for bit.
+        block loop then gathers only the candidate cells (one per-edge dot
+        product each, :func:`compute_partial_topk_candidates`) instead of
+        full block matmuls, dropping decode FLOPs below ``O(n_s · n_t)``.
+        The result is flagged ``approximate`` and carries no CSLS
+        statistics.  ``None`` or a *complete* candidate set (every row
+        holds every column — e.g. IVF with ``nprobe == n_clusters``) runs
+        the exhaustive GEMM scan, the latter reproducing it bit for bit.
     pre_normalized:
         Declare that every state is already the output of the engine's own
         row normalisation at ``dtype`` (``_normalize_rows(...).astype``),
@@ -408,8 +412,8 @@ def blockwise_topk(source, target, k: int = 10,
         block-aligned row shard and streams it exactly as the
         single-process engine would, and the partial reductions are merged
         by the associative :func:`merge_partials` reducer — bit-identical
-        to ``num_workers=None`` on complete candidate sets.  Falls back to
-        the in-process scan when forking is unavailable.
+        to ``num_workers=None``.  Falls back to the in-process scan when
+        forking is unavailable.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -435,14 +439,6 @@ def blockwise_topk(source, target, k: int = 10,
             # GEMM path so the results match bit for bit.
             row_candidates = None
 
-    if row_candidates is not None:
-        return _blockwise_topk_candidates(source_states, target_states,
-                                          row_candidates, k=k,
-                                          block_size=block_size, dtype=dtype,
-                                          csls_k=csls_k,
-                                          pre_normalized=pre_normalized,
-                                          num_workers=num_workers)
-
     dtype = np.dtype(dtype)
     if pre_normalized:
         source_norm = [np.asarray(state) for state in source_states]
@@ -455,33 +451,79 @@ def blockwise_topk(source, target, k: int = 10,
 
     num_source = source_norm[0].shape[0]
     num_cols = target_norm[0].shape[0]
-    num_rounds = len(source_norm)
-    k_eff = min(k, num_cols)
-    csls_k_row = min(csls_k, num_cols)
-    csls_k_col = min(csls_k, num_source)
-    # One row selection serves both the decode top-k and the CSLS row mean.
-    k_keep = min(max(k_eff, csls_k_row), num_cols)
+    if row_candidates is None:
+        # One row selection serves both the decode top-k and the CSLS row
+        # mean, so the exhaustive scan keeps max(k, csls_k) columns.
+        k_keep = min(max(k, csls_k), num_cols)
+        csls_k_col = min(csls_k, num_source)
+    else:
+        # No CSLS statistics exist on the candidate path, so only the
+        # requested k columns are kept.  Deficient rows get the smallest
+        # missing column ids appended (a few exact extra dot products), so
+        # stored rows never contain padding sentinels.
+        k_keep = min(k, num_cols)
+        csls_k_col = 0
+        row_candidates = row_candidates.padded(k_keep)
 
+    scan = dict(k_keep=k_keep, csls_k_col=csls_k_col, block_size=block_size,
+                row_candidates=row_candidates, dtype=dtype)
     if num_workers is not None and num_workers > 1 and num_source > 1:
         from .sharded import scan_partials_parallel
         partial = merge_partial_topk(scan_partials_parallel(
-            source_norm, target_norm, kind="exhaustive",
-            num_workers=num_workers, block_size=block_size,
-            k_keep=k_keep, csls_k_col=csls_k_col))
+            source_norm, target_norm, num_workers=num_workers, **scan))
         count_dot_products(partial.computed_cells)
     else:
-        partial = compute_partial_topk(source_norm, target_norm, 0, num_source,
-                                       k_keep=k_keep, csls_k_col=csls_k_col,
-                                       block_size=block_size)
+        partial = scan_rows(source_norm, target_norm, 0, num_source, **scan)
+    return topk_from_partial(partial, (num_source, num_cols), csls_k=csls_k,
+                             dtype=dtype, source_norm=source_norm,
+                             target_norm=target_norm)
 
-    # Means are taken over ascending-sorted values so they are bit-identical
-    # to the dense ``np.sort(...)[-k:].mean()`` formulation.
-    row_knn_mean = np.sort(partial.scores[:, :csls_k_row], axis=1).mean(axis=1)
-    col_knn_mean = np.sort(partial.col_top, axis=0).mean(axis=0)
 
+def scan_rows(source_norm: list[np.ndarray], target_norm: list[np.ndarray],
+              row_start: int, row_stop: int, *, k_keep: int, csls_k_col: int,
+              block_size: int, row_candidates: RowCandidates | None,
+              dtype) -> PartialTopK:
+    """Reduce rows [row_start, row_stop) with the kernel the candidates pick.
+
+    The exhaustive block-GEMM scan (:func:`compute_partial_topk`) when
+    ``row_candidates`` is ``None``, the per-edge candidate gather
+    (:func:`compute_partial_topk_candidates`, candidates already padded to
+    ``k_keep``) otherwise.  The serial decode and every sharded worker
+    run this one dispatch.
+    """
+    if row_candidates is None:
+        return compute_partial_topk(source_norm, target_norm, row_start,
+                                    row_stop, k_keep=k_keep,
+                                    csls_k_col=csls_k_col,
+                                    block_size=block_size)
+    return compute_partial_topk_candidates(
+        source_norm, target_norm, row_candidates, row_start, row_stop,
+        k_keep=k_keep, block_size=block_size, dtype=dtype)
+
+
+def topk_from_partial(partial: PartialTopK, shape: tuple[int, int], *,
+                      csls_k: int, dtype, source_norm: list[np.ndarray],
+                      target_norm: list[np.ndarray]) -> TopKSimilarity:
+    """The :class:`TopKSimilarity` of a partial covering every source row.
+
+    With ``col_top`` (an exhaustive scan) the CSLS means are taken over
+    ascending-sorted values, bit-identical to the dense
+    ``np.sort(...)[-k:].mean()`` formulation; without it (a candidate
+    decode or an incremental merge) they are NaN and the table is flagged
+    ``approximate``.  ``computed_cells`` is the partial's own count.
+    """
+    num_source, num_cols = shape
+    approximate = partial.col_top is None
+    if approximate:
+        row_knn_mean = np.full(num_source, np.nan)
+        col_knn_mean = np.full(num_cols, np.nan)
+    else:
+        csls_k_row = min(csls_k, num_cols)
+        row_knn_mean = np.sort(partial.scores[:, :csls_k_row], axis=1).mean(axis=1)
+        col_knn_mean = np.sort(partial.col_top, axis=0).mean(axis=0)
     return TopKSimilarity(
         shape=(num_source, num_cols),
-        k=k_keep,
+        k=partial.indices.shape[1],
         csls_k=csls_k,
         indices=partial.indices,
         scores=partial.scores,
@@ -489,8 +531,9 @@ def blockwise_topk(source, target, k: int = 10,
         col_argmax=partial.col_argmax,
         row_knn_mean=row_knn_mean,
         col_knn_mean=col_knn_mean,
-        dtype=dtype,
-        computed_cells=num_source * num_cols * num_rounds,
+        dtype=np.dtype(dtype),
+        approximate=approximate,
+        computed_cells=partial.computed_cells,
         worker_rss_mb=partial.worker_rss_mb,
         _source_norm=source_norm,
         _target_norm=target_norm,
@@ -506,11 +549,11 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
     """Candidate-restricted streamed reduction of rows [row_start, row_stop).
 
     ``row_candidates`` must already be padded to ``k_keep`` (row-local, so
-    padding before or after sharding is equivalent).  Per-cell values come
-    from :meth:`RowCandidates.gather_values` — the per-edge ``einsum`` by
-    default, one dense matmul per (query group, IVF bucket) on a
-    :class:`~repro.core.ann.GroupedRowCandidates` — and every cell's dot
-    product is row-local, so shard membership never changes a value.
+    padding before or after sharding is equivalent).  Each candidate cell
+    is one per-edge ``einsum`` dot product per round, computed from that
+    cell's own source and target rows only, so neither shard membership
+    nor which other rows share the call (a served row subset, an
+    incremental re-decode) can change a value.
     """
     dtype = np.dtype(dtype)
     indptr, cand_indices = row_candidates.indptr, row_candidates.indices
@@ -533,9 +576,15 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
         counts = np.diff(indptr[start:stop + 1])
         rows_local = np.repeat(np.arange(num_rows), counts)
         computed += len(cols) * num_rounds
-        values = row_candidates.gather_values(source_norm, target_norm,
-                                              start, stop, rows_local, cols,
-                                              dtype)
+        count_dot_products(len(cols) * num_rounds)
+        values = np.zeros(len(cols), dtype=dtype)
+        for round_index in range(num_rounds):
+            values = values + np.einsum(
+                "ed,ed->e", source_norm[round_index][start + rows_local],
+                target_norm[round_index][cols])
+        values = np.asarray(values, dtype=np.float64)
+        if num_rounds > 1:
+            values = values / num_rounds
 
         # (a) per-row top-k over the candidate cells.  Rows are padded into
         # a (num_rows, width) matrix with -inf sentinels; every row holds at
@@ -582,72 +631,4 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
         col_max=col_max, col_argmax=col_argmax, col_top=None,
         csls_k_col=0,
         computed_cells=computed,
-    )
-
-
-def _blockwise_topk_candidates(source_states: list[np.ndarray],
-                               target_states: list[np.ndarray],
-                               row_candidates: RowCandidates,
-                               k: int, block_size: int, dtype,
-                               csls_k: int,
-                               pre_normalized: bool = False,
-                               num_workers: int | None = None) -> TopKSimilarity:
-    """Candidate-restricted streaming decode (sparse gather per block).
-
-    Only the cells named by ``row_candidates`` are computed — a gathered
-    ``einsum`` per block (or one dense matmul per probed IVF bucket for
-    grouped candidate structures) instead of full block matmuls — so FLOPs
-    are ``O(Σ_i |C_i| · d)``.  Row top-k and the running column max/argmax
-    keep the exhaustive engine's deterministic tie semantics *restricted to
-    the computed cells*; the result is flagged ``approximate`` and carries
-    no CSLS statistics (consumers refuse rather than degrade).
-    """
-    dtype = np.dtype(dtype)
-    if pre_normalized:
-        source_norm = [np.asarray(state) for state in source_states]
-        target_norm = [np.asarray(state) for state in target_states]
-    else:
-        source_norm = [_normalize_rows(state).astype(dtype, copy=False)
-                       for state in source_states]
-        target_norm = [_normalize_rows(state).astype(dtype, copy=False)
-                       for state in target_states]
-    num_source = source_norm[0].shape[0]
-    num_cols = target_norm[0].shape[0]
-    num_rounds = len(source_norm)
-    # No CSLS statistics exist on the candidate path, so only the requested
-    # k rows are kept (the exhaustive engine widens to csls_k).
-    k_keep = min(k, num_cols)
-    # Guarantee every row can fill its k_keep slots: deficient rows get the
-    # smallest missing column ids appended (a few exact extra dot products),
-    # so stored rows never contain padding sentinels.
-    row_candidates = row_candidates.padded(k_keep)
-
-    if num_workers is not None and num_workers > 1 and num_source > 1:
-        from .sharded import scan_partials_parallel
-        partial = merge_partial_topk(scan_partials_parallel(
-            source_norm, target_norm, kind="candidates",
-            num_workers=num_workers, block_size=block_size,
-            k_keep=k_keep, row_candidates=row_candidates, dtype=dtype))
-        count_dot_products(partial.computed_cells)
-    else:
-        partial = compute_partial_topk_candidates(
-            source_norm, target_norm, row_candidates, 0, num_source,
-            k_keep=k_keep, block_size=block_size, dtype=dtype)
-
-    return TopKSimilarity(
-        shape=(num_source, num_cols),
-        k=k_keep,
-        csls_k=csls_k,
-        indices=partial.indices,
-        scores=partial.scores,
-        col_max=partial.col_max,
-        col_argmax=partial.col_argmax,
-        row_knn_mean=np.full(num_source, np.nan),
-        col_knn_mean=np.full(num_cols, np.nan),
-        dtype=dtype,
-        approximate=True,
-        computed_cells=row_candidates.total * num_rounds,
-        worker_rss_mb=partial.worker_rss_mb,
-        _source_norm=source_norm,
-        _target_norm=target_norm,
     )

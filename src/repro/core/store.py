@@ -2,8 +2,8 @@
 
 An :class:`EmbeddingStore` is a directory of plain ``.npy`` files — one per
 per-round propagation state, plus the candidate CSR (IVF bucket-probe
-result), its optional bucket map, and the train/test splits — described by
-a ``store.json`` manifest.  Plain ``.npy`` (row-major, uncompressed) is
+result) and the train/test splits — described by a ``store.json``
+manifest.  Plain ``.npy`` (row-major, uncompressed) is
 the whole point: ``np.load(mmap_mode="r")`` maps each file directly, so
 
 * a decode worker that owns source rows ``[row_start, row_stop)`` touches
@@ -12,14 +12,16 @@ the whole point: ``np.load(mmap_mode="r")`` maps each file directly, so
   manifest, the same multiples :func:`repro.core.sharded.shard_boundaries`
   cuts shards on);
 * candidate gathers fault in only the target rows they score instead of
-  materialising ``n × d`` tables;
+  materialising ``n × d`` tables (each cell is one per-edge dot product,
+  so a served row subset reads only its own rows' candidates);
 * forked worker pools and co-hosted serving processes share one page-cache
   copy of every table.
 
 The (no longer read) v1 artifact kept these arrays zipped inside
 ``decode.npz``, which cannot be mapped without unpacking; the v2 artifact
 replaces that member zip with this store, making the mapped layout the
-*native* one.
+*native* one.  Stores written while the bucket-grouped gather existed may
+also list that gather's bucket-map shard; it is read but ignored.
 
 Writes stream through :func:`write_npy_chunked` (or an
 :func:`allocate_npy` memmap filled by the producer), so creating a store
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.format import open_memmap
 
-from .ann import GroupedRowCandidates, RowCandidates
+from .ann import RowCandidates
 
 __all__ = ["EmbeddingStore", "StoreError", "MissingStoreError",
            "write_npy_chunked", "allocate_npy", "STORE_MANIFEST"]
@@ -145,17 +147,12 @@ class EmbeddingStore:
         if test_pairs is not None:
             names.append("test_pairs")
             write_npy_chunked(directory / "test_pairs.npy", test_pairs, chunk_rows)
-        grouped = isinstance(row_candidates, GroupedRowCandidates)
         if row_candidates is not None:
             names += ["candidates_indptr", "candidates_indices"]
             write_npy_chunked(directory / "candidates_indptr.npy",
                               row_candidates.indptr, chunk_rows)
             write_npy_chunked(directory / "candidates_indices.npy",
                               row_candidates.indices, chunk_rows)
-            if grouped:
-                names.append("candidates_bucket_of")
-                write_npy_chunked(directory / "candidates_bucket_of.npy",
-                                  row_candidates.bucket_of, chunk_rows)
 
         manifest = {
             "store_version": _STORE_VERSION,
@@ -164,7 +161,6 @@ class EmbeddingStore:
             "num_targets": int(np.asanyarray(target_states[0]).shape[0]),
             "block_size": int(block_size),
             "has_candidates": row_candidates is not None,
-            "grouped_candidates": grouped,
             "arrays": names,
         }
         (directory / STORE_MANIFEST).write_text(
@@ -237,22 +233,16 @@ class EmbeddingStore:
                 [self._arrays[f"target_state_{i}"] for i in range(self.num_rounds)])
 
     def row_candidates(self) -> RowCandidates | None:
-        """The persisted candidate structure (grouped when a bucket map exists).
+        """The persisted candidate structure.
 
         The CSR arrays stay memory-mapped; construction touches them only
         for the validation min/max scan.
         """
         if not self.manifest.get("has_candidates"):
             return None
-        indptr = self._arrays["candidates_indptr"]
-        indices = self._arrays["candidates_indices"]
-        num_columns = int(self.manifest["num_targets"])
-        if self.manifest.get("grouped_candidates"):
-            return GroupedRowCandidates(
-                indptr=indptr, indices=indices, num_columns=num_columns,
-                bucket_of=self._arrays["candidates_bucket_of"])
-        return RowCandidates(indptr=indptr, indices=indices,
-                             num_columns=num_columns)
+        return RowCandidates(indptr=self._arrays["candidates_indptr"],
+                             indices=self._arrays["candidates_indices"],
+                             num_columns=int(self.manifest["num_targets"]))
 
     @property
     def train_pairs(self) -> np.ndarray | None:

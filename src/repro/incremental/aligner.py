@@ -40,13 +40,12 @@ from pathlib import Path
 import numpy as np
 
 from ..autograd import no_grad
-from ..core.ann import (GroupedRowCandidates, IVFIndex, RowCandidates,
-                        _concat_states, _flat_bucket_positions,
-                        _normalize_rows, resolve_ann)
+from ..core.ann import (IVFIndex, RowCandidates, _concat_states,
+                        _flat_bucket_positions, _normalize_rows, resolve_ann)
 from ..core.config import DEFAULT_ENCODE_BATCH
 from ..core.similarity import (DEFAULT_BLOCK_SIZE, PartialTopK,
                                TopKSimilarity, compute_partial_topk_candidates,
-                               merge_partials)
+                               merge_partials, topk_from_partial)
 from ..nn import Parameter
 from ..pipeline.facade import Aligner
 from ..pipeline.spec import CUSTOM_DATASET, DeltaSpec
@@ -82,20 +81,6 @@ class IngestReport:
             "refit": self.refit,
             "noop": self.noop,
         }
-
-
-def _rebuild_buckets(index: IVFIndex) -> None:
-    """Rebuild the bucket CSR after in-place assignment changes.
-
-    The stable argsort keeps ids ascending within every bucket — the same
-    ordering ``IVFIndex.__init__`` and ``insert`` establish, so candidate
-    tie semantics are preserved.
-    """
-    order = np.argsort(index.assignments, kind="stable")
-    index.bucket_indices = order.astype(np.int64)
-    counts = np.bincount(index.assignments, minlength=index.n_clusters)
-    index.bucket_indptr = np.zeros(index.n_clusters + 1, dtype=np.int64)
-    np.cumsum(counts, out=index.bucket_indptr[1:])
 
 
 def _rows_with_changed_candidates(old: RowCandidates, new: RowCandidates,
@@ -427,14 +412,13 @@ class IncrementalAligner:
         pending = len(moved) + (len(concat) - n_t_old)
         if (index.num_inserted + pending
                 > self.delta_spec.refit_threshold * len(concat)):
-            # Periodic re-quantisation: subsampled k-means warm-started
-            # from the current centroids (IVFIndex.refit semantics, over
-            # the updated vectors), staleness counter reset.
-            self._ivf = IVFIndex(
-                concat, n_clusters=index.n_clusters,
+            # Periodic re-quantisation of the updated vectors: subsampled
+            # k-means warm-started from the current centroids, staleness
+            # counter reset.
+            index.vectors = concat
+            self._ivf = index.refit(
                 kmeans_iters=self._ann.kmeans_iters,
                 seed=self._ann.resolved_seed(),
-                init_centroids=index.centroids,
                 train_size=(self.delta_spec.refit_train_size
                             or self._ann.train_size))
             return True
@@ -452,7 +436,7 @@ class IncrementalAligner:
         if len(concat) > n_t_old:
             index.insert(concat[n_t_old:])   # appends + rebuilds the CSR
         elif len(moved):
-            _rebuild_buckets(index)
+            index.rebuild_buckets()
         return False
 
     def _recompute_candidates(self, src_states: list[np.ndarray]):
@@ -462,14 +446,11 @@ class IncrementalAligner:
         their probed buckets kept their members: identical queries against
         identical centroids select identical buckets, so the CSR diff in
         the re-decode step finds exactly the rows whose sets moved.
-        Mirrors ``_ivf_candidates`` + ``generate_candidates`` (grouping,
+        Mirrors ``_ivf_candidates`` + ``generate_candidates`` (probing,
         then ``min_candidates`` padding).
         """
         result = self._ivf.candidates(_concat_states(src_states),
                                       nprobe=self._ann.nprobe)
-        if self._ann.gather == "bucket":
-            result = GroupedRowCandidates.from_candidates(
-                result, self._ivf.assignments)
         if self._ann.min_candidates is not None:
             result = result.padded(self._ann.min_candidates)
         return result
@@ -502,22 +483,15 @@ class IncrementalAligner:
             # different vectors) or a freshly inserted one.
             dirty_target = np.ones(n_t_new, dtype=bool)
             dirty_target[:n_t_old] = changed_tgt
-            counts = np.diff(candidates.indptr)
-            rows_of = np.repeat(np.arange(n_s_new), counts)
+            rows_of = np.repeat(np.arange(n_s_new), candidates.counts)
             hit = dirty_target[candidates.indices]
             if hit.any():
                 redecode[np.unique(rows_of[hit])] = True
 
         rows = np.flatnonzero(redecode)
-        subset = candidates.select_rows(rows)
-        if isinstance(candidates, GroupedRowCandidates):
-            # select_rows returns the plain structure by design; restore
-            # the bucket grouping so the gather path matches the full
-            # decode's bit for bit.
-            subset = GroupedRowCandidates.from_candidates(
-                subset, self._ivf.assignments)
         partial = compute_partial_topk_candidates(
-            [s[rows] for s in src_norm], tgt_norm, subset.padded(k_keep),
+            [s[rows] for s in src_norm], tgt_norm,
+            candidates.select_rows(rows).padded(k_keep),
             0, len(rows), k_keep, DEFAULT_BLOCK_SIZE, np.float64)
         # Remap the shard-local row ids to global ids before merging.
         partial.rows = rows.astype(np.int64)
@@ -532,16 +506,10 @@ class IncrementalAligner:
         else:
             merged = partial
 
-        table = TopKSimilarity(
-            shape=(n_s_new, n_t_new), k=k_keep,
+        table = topk_from_partial(
+            merged, (n_s_new, n_t_new),
             csls_k=old_table.csls_k if old_table is not None else 10,
-            indices=merged.indices, scores=merged.scores,
-            col_max=merged.col_max, col_argmax=merged.col_argmax,
-            row_knn_mean=np.full(n_s_new, np.nan),
-            col_knn_mean=np.full(n_t_new, np.nan),
-            dtype=np.dtype(np.float64), approximate=True,
-            computed_cells=merged.computed_cells,
-            _source_norm=src_norm, _target_norm=tgt_norm)
+            dtype=np.float64, source_norm=src_norm, target_norm=tgt_norm)
         return table, len(rows)
 
     @staticmethod
@@ -592,7 +560,7 @@ class IncrementalAligner:
             row_candidates=candidates,
             candidates_ready=candidates is not None,
             train_pairs=new_task.train_pairs, test_pairs=new_task.test_pairs)
+        aligner._norm_states = (src_norm, tgt_norm)
         if table is not None:
             aligner._topk_cache[spec.decode.k] = table
-            aligner._norm_states = (src_norm, tgt_norm)
         return aligner

@@ -41,7 +41,7 @@ from ..core.ann import (RowCandidates, _normalize_rows, generate_candidates,
                         resolve_ann)
 from ..core.registries import build_model_from_spec
 from ..core.similarity import (DEFAULT_BLOCK_SIZE, TopKSimilarity,
-                               _blockwise_topk_candidates, blockwise_topk)
+                               blockwise_topk, compute_partial_topk_candidates)
 from ..core.store import EmbeddingStore
 from ..core.task import PreparedTask, prepare_task
 from ..core.trainer import Trainer, TrainingResult
@@ -223,14 +223,9 @@ class Aligner:
                              else (task.train_pairs if task is not None else None))
         self._test_pairs = (test_pairs if test_pairs is not None
                             else (task.test_pairs if task is not None else None))
-        # Serving caches: normalised decode tables, padded candidate
-        # structures per k, and per-(k, entity) candidate row slices.
+        #: The one normalised copy of the decode tables, shared by every
+        #: full-table decode and row-subset serving decode.
         self._norm_states: tuple[list[np.ndarray], list[np.ndarray]] | None = None
-        self._padded_cache: dict[int, RowCandidates] = {}
-        self._row_slice_cache: dict[tuple[int, int], np.ndarray] = {}
-        #: Candidate-slice cache counters (observable via serving stats).
-        self.candidate_slice_hits = 0
-        self.candidate_slice_misses = 0
 
     # ------------------------------------------------------------------
     # Cached decode inputs
@@ -301,9 +296,10 @@ class Aligner:
             raise ValueError("k must be positive")
         cached = self._topk_cache.get(k)
         if cached is None:
-            source_states, target_states = self.decode_states()
-            cached = blockwise_topk(source_states, target_states, k=k,
+            source_norm, target_norm = self._normalized_states()
+            cached = blockwise_topk(source_norm, target_norm, k=k,
                                     row_candidates=self.row_candidates(),
+                                    pre_normalized=True,
                                     num_workers=self.spec.decode.num_workers)
             self._topk_cache[k] = cached
         return cached
@@ -312,10 +308,10 @@ class Aligner:
         """Row-normalised decode tables, computed once per artifact.
 
         Exactly the arrays the streaming engine derives internally
-        (``_normalize_rows`` at float64), cached so row-subset serving
-        decodes skip the full-table normalisation pass — and stay
-        bit-identical to the full decode, because the very same
-        normalised values enter the products (``pre_normalized=True``).
+        (``_normalize_rows`` at float64).  Full-table decodes
+        (``pre_normalized=True``) and row-subset serving decodes both read
+        this one copy, so they stay bit-identical: the very same
+        normalised values enter the products.
         """
         if self._norm_states is None:
             source_states, target_states = self.decode_states()
@@ -326,40 +322,6 @@ class Aligner:
                 [_normalize_rows(state).astype(dtype, copy=False)
                  for state in target_states])
         return self._norm_states
-
-    def _candidate_rows(self, entity_ids: np.ndarray,
-                        k_keep: int) -> RowCandidates:
-        """Padded candidate rows for a subset, served from the slice cache.
-
-        The full structure is padded once per ``k_keep`` and each entity's
-        padded row slice is memoised, so consecutive ``rank`` calls on
-        overlapping ids re-use the gathered slices instead of re-slicing
-        (and re-padding) :class:`RowCandidates` every time.  ``padded`` is
-        row-local, so pad-then-select equals select-then-pad and the
-        subset decode sees exactly the rows the full decode would.
-        """
-        padded = self._padded_cache.get(k_keep)
-        if padded is None:
-            padded = self.row_candidates().padded(k_keep)
-            self._padded_cache[k_keep] = padded
-        rows = []
-        for entity in entity_ids:
-            key = (k_keep, int(entity))
-            row = self._row_slice_cache.get(key)
-            if row is None:
-                self.candidate_slice_misses += 1
-                row = padded.row(int(entity))
-                self._row_slice_cache[key] = row
-            else:
-                self.candidate_slice_hits += 1
-            rows.append(row)
-        counts = np.asarray([len(row) for row in rows], dtype=np.int64)
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = (np.concatenate(rows) if rows
-                   else np.empty(0, dtype=np.int64))
-        return RowCandidates(indptr=indptr, indices=indices,
-                             num_columns=padded.num_columns)
 
     def decode_fingerprint(self) -> str:
         """Stable identity of this artifact's decode configuration.
@@ -403,31 +365,35 @@ class Aligner:
     def rank_rows(self, entity_ids, k: int | None = None) -> TopKAlignment:
         """Ranked candidates for selected rows — the serving fast path.
 
-        Candidate-restricted artifacts decode only the requested rows: a
-        gathered ``einsum`` over each row's (cached, padded) candidate
-        slice, so cost scales with the batch, not the corpus.  The
-        per-cell products are row-local and independent of which other
-        rows share the batch, which is what makes micro-batched,
-        single-row and full-table decodes bit-identical — the GEMM kernel
-        used by exhaustive decodes does *not* have that property (its
-        last-ulp rounding depends on the batch shape), so exhaustive
-        artifacts are served by slicing the cached full top-``k`` table
-        instead: one corpus-sized decode on the first query per ``k``,
-        O(1) row slices afterwards.
+        Candidate-restricted artifacts decode only the requested rows:
+        their candidate rows are selected and padded, then gathered one
+        per-edge dot product each by
+        :func:`~repro.core.similarity.compute_partial_topk_candidates`, so
+        cost scales with the batch, not the corpus.  Every cell is
+        computed from its own two rows, independent of which other rows
+        share the batch, which is what makes micro-batched, single-row
+        and full-table decodes bit-identical — the GEMM kernel used by
+        exhaustive decodes does *not* have that property (its last-ulp
+        rounding depends on the batch shape), so exhaustive artifacts are
+        served by slicing the cached full top-``k`` table instead: one
+        corpus-sized decode on the first query per ``k``, O(1) row slices
+        afterwards.
         """
         k = int(k) if k is not None else self.spec.decode.k
         if k <= 0:
             raise ValueError("k must be positive")
         entity_ids = np.asarray(entity_ids, dtype=np.int64).reshape(-1)
+        source_norm, target_norm = self._normalized_states()
+        num_source = source_norm[0].shape[0]
+        if len(entity_ids) and (entity_ids.min() < 0
+                                or entity_ids.max() >= num_source):
+            raise ValueError(
+                f"entity ids must lie in [0, {num_source}), got "
+                f"{entity_ids.min()}..{entity_ids.max()}")
         candidates = self.row_candidates()
         restricted = candidates is not None and not candidates.is_complete()
         if not restricted or k in self._topk_cache:
             topk = self.topk(k)
-            if len(entity_ids) and (entity_ids.min() < 0
-                                    or entity_ids.max() >= topk.shape[0]):
-                raise ValueError(
-                    f"entity ids must lie in [0, {topk.shape[0]}), got "
-                    f"{entity_ids.min()}..{entity_ids.max()}")
             width = min(k, topk.indices.shape[1])
             return TopKAlignment(
                 source_ids=entity_ids,
@@ -435,39 +401,23 @@ class Aligner:
                 scores=topk.scores[entity_ids, :width].copy(),
                 approximate=topk.approximate,
             )
-        source_norm, target_norm = self._normalized_states()
-        num_source = source_norm[0].shape[0]
-        num_target = target_norm[0].shape[0]
-        if len(entity_ids) and (entity_ids.min() < 0
-                                or entity_ids.max() >= num_source):
-            raise ValueError(
-                f"entity ids must lie in [0, {num_source}), got "
-                f"{entity_ids.min()}..{entity_ids.max()}")
-        width = min(k, num_target)
-        if not len(entity_ids):
-            return TopKAlignment(
-                source_ids=entity_ids,
-                target_ids=np.empty((0, width), dtype=np.int64),
-                scores=np.empty((0, width), dtype=np.float64),
-                approximate=True)
-        subset = self._candidate_rows(entity_ids, width)
-        topk = _blockwise_topk_candidates(
+        width = min(k, target_norm[0].shape[0])
+        partial = compute_partial_topk_candidates(
             [state[entity_ids] for state in source_norm], target_norm,
-            subset, k=k, block_size=DEFAULT_BLOCK_SIZE,
-            dtype=np.float64, csls_k=10, pre_normalized=True)
-        return TopKAlignment(
-            source_ids=entity_ids,
-            target_ids=topk.indices[:, :width].copy(),
-            scores=topk.scores[:, :width].copy(),
-            approximate=True)
+            candidates.select_rows(entity_ids).padded(width),
+            0, len(entity_ids), k_keep=width, block_size=DEFAULT_BLOCK_SIZE,
+            dtype=np.float64)
+        return TopKAlignment(source_ids=entity_ids, target_ids=partial.indices,
+                             scores=partial.scores, approximate=True)
 
     def with_decode(self, decode) -> "Aligner":
         """A sibling handle over the same fitted model with another decode spec.
 
         Shares the task, model and training result.  Decode caches carry
-        over exactly as far as they stay valid: the cached states survive
-        when the new :class:`~repro.pipeline.DecodeSpec` computes them the
-        same way (``use_propagation`` / ``encode`` unchanged), and the
+        over exactly as far as they stay valid: the cached states (and
+        their normalised copy) survive when the new
+        :class:`~repro.pipeline.DecodeSpec` computes them the same way
+        (``use_propagation`` / ``encode`` unchanged), and the
         fitted candidate structure additionally requires an unchanged
         ``candidates`` / ``ann`` — so changing only ``k`` or ``ranking``
         on a loaded model-less artifact keeps working.  Useful for
@@ -485,15 +435,18 @@ class Aligner:
         same_candidates = (same_states and self._candidates_ready
                            and new.candidates == old.candidates
                            and new.ann == old.ann)
-        return Aligner(spec, task=self.task, model=self.model,
-                       result=self.result,
-                       states=self._states if same_states else None,
-                       row_candidates=(self._row_candidates
-                                       if same_candidates else None),
-                       candidates_ready=same_candidates,
-                       train_pairs=self._train_pairs,
-                       test_pairs=self._test_pairs,
-                       params_path=self._params_path)
+        sibling = Aligner(spec, task=self.task, model=self.model,
+                          result=self.result,
+                          states=self._states if same_states else None,
+                          row_candidates=(self._row_candidates
+                                          if same_candidates else None),
+                          candidates_ready=same_candidates,
+                          train_pairs=self._train_pairs,
+                          test_pairs=self._test_pairs,
+                          params_path=self._params_path)
+        if same_states:
+            sibling._norm_states = self._norm_states
+        return sibling
 
     def evaluate(self) -> AlignmentMetrics:
         """H@1 / H@10 / MRR on the held-out test pairs, per the decode spec.
@@ -518,8 +471,8 @@ class Aligner:
         ``params.npz`` (the model's state dict, when a model is attached)
         and the decode payloads as an
         :class:`~repro.core.store.EmbeddingStore` — shard-aligned ``.npy``
-        files holding the cached per-round states, the candidate CSR (plus
-        its IVF bucket map when grouped) and the train/test splits, which
+        files holding the cached per-round states, the candidate CSR and
+        the train/test splits, which
         ``load(mmap=True)`` maps natively.  :meth:`load` rebuilds an
         aligner whose ``align``/``rank`` reproduce this one's decode
         bit-identically, because they consume these exact arrays.

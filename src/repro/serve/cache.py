@@ -19,6 +19,7 @@ wash the hot working set out of the cache.
 
 from __future__ import annotations
 
+import functools
 import threading
 import zlib
 from collections import OrderedDict
@@ -54,10 +55,16 @@ class FrequencySketch:
         self._salts = tuple(
             int(salt) | 1
             for salt in rng.integers(1, 2**31, size=self.depth))
-        self._tables = np.zeros((self.depth, self.width), dtype=np.uint32)
+        # Plain int lists: a served cache hit touches ``depth`` counters,
+        # and list items update far cheaper than numpy scalars.
+        self._tables = [[0] * self.width for _ in range(self.depth)]
         self._touches = 0
+        # Hashing a key costs more than updating its counters, and served
+        # traffic repeats keys: memoise each key's row indices (bounded).
+        self._indices = functools.lru_cache(maxsize=4 * self.width)(
+            self._row_indices)
 
-    def _indices(self, key) -> list[int]:
+    def _row_indices(self, key) -> list[int]:
         # CRC32 of the key's repr: stable across processes (unlike str
         # hash randomisation).  Each row remixes the digest with its own
         # odd salt and folds the high bits back in before reducing, so
@@ -72,17 +79,18 @@ class FrequencySketch:
 
     def touch(self, key) -> None:
         """Record one access to ``key`` (ages the sketch periodically)."""
-        for row, index in enumerate(self._indices(key)):
-            self._tables[row, index] += 1
+        for table, index in zip(self._tables, self._indices(key)):
+            table[index] += 1
         self._touches += 1
         if self._touches >= self.sample_size:
-            self._tables >>= 1
+            for table in self._tables:
+                table[:] = [count >> 1 for count in table]
             self._touches = 0
 
     def estimate(self, key) -> int:
         """The (over-)estimated recent access count of ``key``."""
-        return int(min(self._tables[row, index]
-                       for row, index in enumerate(self._indices(key))))
+        return min(table[index]
+                   for table, index in zip(self._tables, self._indices(key)))
 
 
 class ResultCache:

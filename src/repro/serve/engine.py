@@ -132,6 +132,9 @@ class ServingEngine:
         #: Lazily built incremental wrapper reused across ingest() calls
         #: (it carries the warm IVF quantiser and the cached decode table).
         self._incremental = None
+        #: Serialises ingest(): the lazy wrapper build, the delta fold-in
+        #: and the promotion run as one unit per call.
+        self._ingest_lock = threading.Lock()
 
         self._metrics = threading.Lock()
         self._requests = 0
@@ -164,11 +167,11 @@ class ServingEngine:
                    entity: int):
         return (generation, fingerprint, k, entity)
 
-    def submit(self, entity_ids, k: int | None = None) -> PendingRequest:
-        """Validate and enqueue one request; returns its pending handle.
+    def _lookup(self, entity_ids, k: int | None):
+        """Validate one request and look its rows up in the result cache.
 
-        Fully cache-resident requests complete synchronously on the
-        calling thread — the decoder and the batcher are never touched.
+        Returns ``(entity_ids, k, table)``: ``table`` is the assembled
+        answer when every row is cache-resident, else ``None``.
         """
         with self._state:
             if self._closed:
@@ -179,40 +182,59 @@ class ServingEngine:
             default_k = self._aligner.spec.decode.k
         k = int(k) if k is not None else default_k
         entity_ids = np.asarray(entity_ids, dtype=np.int64).reshape(-1)
+        # Python ints: cheaper than numpy reductions on the small requests
+        # that dominate serving traffic, and the cache keys' own type.
+        ids = entity_ids.tolist()
         if k <= 0:
             raise ServingError("bad_request", "k must be positive")
-        if not len(entity_ids):
+        if not ids:
             raise ServingError("bad_request", "entities must be non-empty")
-        if entity_ids.min() < 0 or entity_ids.max() >= num_source:
+        if min(ids) < 0 or max(ids) >= num_source:
             raise ServingError(
                 "bad_request",
                 f"entity ids must lie in [0, {num_source}), got "
-                f"{entity_ids.min()}..{entity_ids.max()}")
-
-        request = PendingRequest(entity_ids, k)
-        with self._metrics:
-            self._requests += 1
+                f"{min(ids)}..{max(ids)}")
 
         rows = []
-        for entity in entity_ids:
+        for entity in ids:
             value = self._cache.get(
-                self._cache_key(generation, fingerprint, k, int(entity)))
+                self._cache_key(generation, fingerprint, k, entity))
             if value is None:
                 break
             rows.append(value)
-        if len(rows) == len(entity_ids):
-            request.complete(self._assemble(entity_ids, rows))
-            with self._metrics:
-                self._cache_only_requests += 1
-            return request
+        cached = len(rows) == len(entity_ids)
+        with self._metrics:
+            self._requests += 1
+            self._cache_only_requests += cached
+        return entity_ids, k, (self._assemble(entity_ids, rows) if cached
+                               else None)
 
-        self._batcher.submit(request)
+    def submit(self, entity_ids, k: int | None = None) -> PendingRequest:
+        """Validate and enqueue one request; returns its pending handle.
+
+        Fully cache-resident requests complete synchronously on the
+        calling thread — the decoder and the batcher are never touched.
+        """
+        entity_ids, k, table = self._lookup(entity_ids, k)
+        request = PendingRequest(entity_ids, k)
+        if table is not None:
+            request.complete(table)
+        else:
+            self._batcher.submit(request)
         return request
 
     def rank(self, entity_ids, k: int | None = None,
              timeout: float | None = None) -> TopKAlignment:
-        """Blocking rank: submit, await the batch, raise structured errors."""
-        request = self.submit(entity_ids, k)
+        """Blocking rank: submit, await the batch, raise structured errors.
+
+        A fully cache-resident request returns straight from the cache
+        lookup, without a pending handle to wait on.
+        """
+        entity_ids, k, table = self._lookup(entity_ids, k)
+        if table is not None:
+            return table
+        request = PendingRequest(entity_ids, k)
+        self._batcher.submit(request)
         timeout = self.default_timeout if timeout is None else float(timeout)
         if not request.event.wait(timeout):
             request.abandoned = True
@@ -227,10 +249,12 @@ class ServingEngine:
 
     @staticmethod
     def _assemble(entity_ids: np.ndarray, rows: list) -> TopKAlignment:
+        # np.array over the equal-length row arrays: the same stacked copy
+        # as np.stack, at a fraction of its per-call overhead.
         return TopKAlignment(
             source_ids=entity_ids,
-            target_ids=np.stack([row[0] for row in rows]),
-            scores=np.stack([row[1] for row in rows]),
+            target_ids=np.array([row[0] for row in rows]),
+            scores=np.array([row[1] for row in rows]),
             approximate=rows[0][2],
         )
 
@@ -383,26 +407,29 @@ class ServingEngine:
         keeps serving the current generation — then promoted through the
         same prewarm–drain–:meth:`swap` path as any other artifact, so no
         request ever observes a mixed-generation decode.  ``directory``
-        optionally persists the updated artifact.  Serialise concurrent
-        callers externally; the engine only synchronises the promotion.
+        optionally persists the updated artifact.  Concurrent calls are
+        serialised: each one folds its delta into the artifact the
+        previous one promoted.
         """
         from ..incremental import IncrementalAligner
 
-        if self._incremental is None:
-            with self._state:
-                aligner = self._aligner
-            self._incremental = IncrementalAligner(aligner)
-        report = self._incremental.ingest(delta, directory=directory)
-        payload = report.to_dict()
-        if report.noop:
-            # Bit-exact no-op: nothing to promote, the served artifact
-            # already answers every query the updated one would.
-            with self._state:
-                payload.update(generation=self._generation,
-                               fingerprint=self._fingerprint, evicted=0)
+        with self._ingest_lock:
+            incremental = self._incremental
+            if incremental is None:
+                with self._state:
+                    aligner = self._aligner
+                incremental = self._incremental = IncrementalAligner(aligner)
+            report = incremental.ingest(delta, directory=directory)
+            payload = report.to_dict()
+            if report.noop:
+                # Bit-exact no-op: nothing to promote, the served artifact
+                # already answers every query the updated one would.
+                with self._state:
+                    payload.update(generation=self._generation,
+                                   fingerprint=self._fingerprint, evicted=0)
+                return payload
+            payload.update(self.swap(report.aligner))
             return payload
-        payload.update(self.swap(report.aligner))
-        return payload
 
     @property
     def generation(self) -> int:
@@ -410,14 +437,13 @@ class ServingEngine:
             return self._generation
 
     def stats(self) -> dict:
-        """Counter snapshot across the engine, cache and aligner caches."""
+        """Counter snapshot across the engine, its cache and its workers."""
         with self._state:
-            aligner = self._aligner
             payload = {
                 "generation": self._generation,
                 "fingerprint": self._fingerprint,
                 "num_source": self._num_source,
-                "default_k": aligner.spec.decode.k,
+                "default_k": self._aligner.spec.decode.k,
             }
         with self._metrics:
             payload.update({
@@ -431,10 +457,6 @@ class ServingEngine:
                 "swaps": self._swaps,
             })
         payload["cache"] = self._cache.stats()
-        payload["candidate_slice"] = {
-            "hits": aligner.candidate_slice_hits,
-            "misses": aligner.candidate_slice_misses,
-        }
         payload["worker_failures"] = self._pool.task_failures
         payload["worker_deaths"] = self._pool.worker_deaths
         if self._faults is not None:

@@ -19,6 +19,7 @@ from repro.core.ann import (
 from repro.core.similarity import blockwise_topk
 from repro.eval.evaluator import Evaluator
 from repro.eval.metrics import evaluate_alignment, ranks_from_similarity
+from repro.pipeline import DecodeSpec
 
 
 @pytest.fixture
@@ -401,51 +402,13 @@ class TestDecodeDispatch:
 
 
 class TestBucketGroupedGather:
-    def test_bucket_gather_matches_edge_gather_topk(self, clustered_embeddings):
-        """Grouped GEMM gathers keep the decode's ids exactly and its scores
-        to the one-ulp BLAS reassociation bound."""
-        source, target = clustered_embeddings
-        edge = blockwise_topk(source, target, k=5, row_candidates=generate_candidates(
-            "ivf", source, target, AnnConfig(seed=0, nprobe=3)))
-        bucket = blockwise_topk(source, target, k=5, row_candidates=generate_candidates(
-            "ivf", source, target, AnnConfig(seed=0, nprobe=3, gather="bucket")))
-        assert np.array_equal(edge.indices, bucket.indices)
-        np.testing.assert_allclose(edge.scores, bucket.scores, atol=1e-12)
-
-    def test_bucket_gather_preserved_through_padding(self, clustered_embeddings):
-        from repro.core.ann import GroupedRowCandidates
-
-        source, target = clustered_embeddings
-        index = IVFIndex(target, n_clusters=6, seed=0)
-        grouped = GroupedRowCandidates.from_candidates(
-            index.candidates(source, nprobe=2), index.assignments)
-        padded = grouped.padded(8)
-        assert isinstance(padded, GroupedRowCandidates)
-        assert np.array_equal(padded.bucket_of, grouped.bucket_of)
-
-    def test_bucket_gather_counts_covering_rectangle_flops(
-            self, clustered_embeddings):
-        source, target = clustered_embeddings
-        with flops_counter() as edge_counter:
-            blockwise_topk(source, target, k=5, row_candidates=generate_candidates(
-                "ivf", source, target, AnnConfig(seed=0, nprobe=2)))
-        with flops_counter() as bucket_counter:
-            blockwise_topk(source, target, k=5, row_candidates=generate_candidates(
-                "ivf", source, target, AnnConfig(seed=0, nprobe=2, gather="bucket")))
-        # The dense per-bucket rectangles compute at least the edge cells,
-        # and both stay below the exhaustive n_s * n_t grid.
-        assert bucket_counter.cells >= edge_counter.cells
-        assert bucket_counter.cells < len(source) * len(target)
-
-    def test_lsh_rejects_bucket_gather(self, clustered_embeddings):
-        source, target = clustered_embeddings
-        with pytest.raises(ValueError, match="bucket"):
-            generate_candidates("lsh", source, target,
-                                AnnConfig(seed=0, gather="bucket"))
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="gather"):
             AnnConfig(gather="bogus")
+        with pytest.raises(ValueError, match="gather='bucket' was removed"):
+            AnnConfig(gather="bucket")
+        assert DecodeSpec.from_dict(
+            {"candidates": "ivf", "ann": {"gather": "edge"}}).ann == AnnConfig()
         with pytest.raises(ValueError, match="adaptive_slack"):
             AnnConfig(adaptive_slack=-0.1)
         with pytest.raises(ValueError, match="train_size"):

@@ -100,7 +100,7 @@ class TestShardedExhaustive:
         source_norm = [_normalize_rows(source)]
         target_norm = [_normalize_rows(target)]
         partials = scan_partials_parallel(
-            source_norm, target_norm, kind="exhaustive", num_workers=4,
+            source_norm, target_norm, num_workers=4,
             block_size=8, k_keep=6, csls_k_col=5)
         merged = merge_partial_topk(partials)
         shuffled = merge_partial_topk(partials[::-1])
@@ -136,16 +136,6 @@ class TestShardedCandidates:
         assert np.array_equal(serial.col_max, sharded.col_max)
         assert np.array_equal(serial.col_argmax, sharded.col_argmax)
         assert serial.computed_cells == sharded.computed_cells
-
-    def test_kind_validation(self, pair):
-        source, target = pair
-        norm = [_normalize_rows(source)]
-        with pytest.raises(ValueError):
-            scan_partials_parallel(norm, norm, kind="bogus", num_workers=2,
-                                   block_size=8, k_keep=3)
-        with pytest.raises(ValueError):
-            scan_partials_parallel(norm, norm, kind="candidates",
-                                   num_workers=2, block_size=8, k_keep=3)
 
 
 class TestFallback:

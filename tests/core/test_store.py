@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.ann import GroupedRowCandidates, RowCandidates
+from repro.core.ann import RowCandidates
 from repro.core.store import (
     STORE_MANIFEST,
     EmbeddingStore,
@@ -82,19 +82,26 @@ class TestEmbeddingStore:
         source, target = states
         plain = RowCandidates.from_pairs(
             rows=[0, 0, 1, 2], cols=[3, 5, 1, 2], num_rows=50, num_columns=70)
-        grouped = GroupedRowCandidates(
-            indptr=plain.indptr, indices=plain.indices, num_columns=70,
-            bucket_of=np.arange(70) % 4)
-        for label, candidates in (("plain", plain), ("grouped", grouped)):
-            store = EmbeddingStore.create(
-                tmp_path / label, source_states=source, target_states=target,
-                row_candidates=candidates)
-            back = store.row_candidates()
-            assert type(back) is type(candidates)
-            assert np.array_equal(back.indptr, candidates.indptr)
-            assert np.array_equal(back.indices, candidates.indices)
-            if isinstance(candidates, GroupedRowCandidates):
-                assert np.array_equal(back.bucket_of, candidates.bucket_of)
+        directory = tmp_path / "plain"
+        store = EmbeddingStore.create(directory, source_states=source,
+                                      target_states=target,
+                                      row_candidates=plain)
+        back = store.row_candidates()
+        assert type(back) is RowCandidates
+        assert np.array_equal(back.indptr, plain.indptr)
+        assert np.array_equal(back.indices, plain.indices)
+        assert "grouped_candidates" not in store.manifest
+        # A store written by the removed bucket-grouped gather lists a
+        # bucket-map shard; it still opens and reads back plain candidates.
+        write_npy_chunked(directory / "candidates_bucket_of.npy",
+                          np.arange(70) % 4)
+        manifest = json.loads((directory / STORE_MANIFEST).read_text())
+        manifest["arrays"].append("candidates_bucket_of")
+        manifest["grouped_candidates"] = True
+        (directory / STORE_MANIFEST).write_text(json.dumps(manifest))
+        back = EmbeddingStore.open(directory).row_candidates()
+        assert type(back) is RowCandidates
+        assert np.array_equal(back.indices, plain.indices)
 
     def test_create_replaces_existing_store(self, tmp_path, states):
         source, target = states

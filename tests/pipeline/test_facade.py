@@ -38,6 +38,18 @@ def fitted():
     return AlignmentPipeline.from_spec(small_spec()).fit()
 
 
+@pytest.fixture(scope="module")
+def restricted_artifact(tmp_path_factory):
+    """A saved IVF artifact with more source rows than the largest batch."""
+    spec = small_spec(decode="blockwise", candidates="ivf",
+                      ann=AnnConfig(n_clusters=6, nprobe=1))
+    spec = spec.with_overrides(data=DataSpec(
+        dataset="FBDB15K", num_entities=120, seed_ratio=0.3, seed=0))
+    directory = tmp_path_factory.mktemp("restricted") / "artifact"
+    AlignmentPipeline.from_spec(spec).fit().save(directory)
+    return directory
+
+
 class TestLifecycle:
     def test_fit_returns_populated_aligner(self, fitted):
         assert fitted.metrics is not None
@@ -123,32 +135,13 @@ class TestCaching:
         assert len(calls) == 1  # the quantiser is fitted once and reused
         assert aligner.align(3).approximate
 
-    def test_repeated_rank_reuses_candidate_slices(self, tmp_path):
-        spec = small_spec(decode="blockwise", candidates="ivf",
-                          ann=AnnConfig(n_clusters=6, nprobe=1))
-        AlignmentPipeline.from_spec(spec).fit().save(tmp_path / "artifact")
-        aligner = Aligner.load(tmp_path / "artifact")
-        ids = [3, 9, 14]
-        first = aligner.rank(ids, k=4)
-        misses = aligner.candidate_slice_misses
-        assert misses == len(ids)
-        second = aligner.rank(ids, k=4)
-        # the second identical call regenerated nothing: every padded
-        # per-row candidate slice came from the cache
-        assert aligner.candidate_slice_misses == misses
-        assert aligner.candidate_slice_hits >= len(ids)
-        assert np.array_equal(first.target_ids, second.target_ids)
-        assert np.array_equal(first.scores, second.scores)
-        # partial overlap only misses on the genuinely new rows
-        aligner.rank([3, 9, 21], k=4)
-        assert aligner.candidate_slice_misses == misses + 1
-
-    def test_rank_rows_matches_full_align_on_restricted_artifact(self, tmp_path):
-        spec = small_spec(decode="blockwise", candidates="ivf",
-                          ann=AnnConfig(n_clusters=6, nprobe=1))
-        AlignmentPipeline.from_spec(spec).fit().save(tmp_path / "artifact")
-        aligner = Aligner.load(tmp_path / "artifact")
-        ids = np.array([1, 17, 30])
+    @pytest.mark.parametrize("batch", [1, 3, 17, 64])
+    def test_rank_rows_matches_full_align_on_restricted_artifact(
+            self, restricted_artifact, batch):
+        aligner = Aligner.load(restricted_artifact)
+        num_source = aligner.decode_states()[0][0].shape[0]
+        ids = np.random.default_rng(batch).choice(num_source, size=batch,
+                                                  replace=False)
         subset = aligner.rank(ids, k=5)   # decodes only the requested rows
         full = aligner.align(k=5)         # whole-corpus decode
         assert np.array_equal(subset.target_ids, full.target_ids[ids])
@@ -306,6 +299,16 @@ class TestPersistence:
         payload["format_version"] = 1
         (directory / "spec.json").write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="format_version 1"):
+            Aligner.load(directory)
+
+    def test_load_rejects_bucket_gather_artifact(self, fitted, tmp_path):
+        import json
+        directory = fitted.save(tmp_path / "artifact")
+        payload = json.loads((directory / "spec.json").read_text())
+        payload["spec"]["decode"].update(candidates="ivf",
+                                         ann={"gather": "bucket"})
+        (directory / "spec.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="gather='bucket' was removed"):
             Aligner.load(directory)
 
     def test_loaded_preset_artifact_evaluates_without_propagation(

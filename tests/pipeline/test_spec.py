@@ -140,8 +140,7 @@ class TestValidation:
     def test_ann_gather_and_slack_round_trip_and_validate(self):
         spec = PipelineSpec(decode=DecodeSpec(
             candidates="ivf",
-            ann=AnnConfig(gather="bucket", adaptive_slack=0.25,
-                          train_size=1000)))
+            ann=AnnConfig(adaptive_slack=0.25, train_size=1000)))
         assert PipelineSpec.from_dict(spec.to_dict()) == spec
         with pytest.raises(ValueError, match="gather"):
             AnnConfig(gather="grouped")

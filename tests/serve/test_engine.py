@@ -258,6 +258,64 @@ class TestIngestPromotion:
             grown = engine.rank([n_s], 5)
             assert grown.scores.shape == (1, 5)
 
+    def test_concurrent_ingests_are_serialised(self, artifacts, monkeypatch):
+        """Two threads ingesting at once fold their deltas one after the other.
+
+        Both race for the lazy incremental build; a slowed-down ingest
+        makes any overlap between the two folds observable.
+        """
+        from repro.incremental import DeltaBatch, IncrementalAligner, SideDelta
+
+        original = IncrementalAligner.ingest
+        guard = threading.Lock()
+        active, overlaps = [0], [0]
+
+        def slow_ingest(self, delta, **kwargs):
+            with guard:
+                active[0] += 1
+                overlaps[0] += active[0] > 1
+            try:
+                time.sleep(0.2)
+                return original(self, delta, **kwargs)
+            finally:
+                with guard:
+                    active[0] -= 1
+
+        monkeypatch.setattr(IncrementalAligner, "ingest", slow_ingest)
+        v1, _, _, _ = artifacts
+        # Each delta only links existing entities, so both are valid in
+        # either order.
+        deltas = [DeltaBatch(
+            source=SideDelta(relation_triples=[(1 + index, 0, 20 + index)]),
+            target=SideDelta(relation_triples=[(3 + index, 0, 30 + index)]))
+            for index in range(2)]
+        with ServingEngine.from_artifact(v1, batch_window=0.001) as engine:
+            start = threading.Barrier(len(deltas))
+            payloads, errors = [], []
+
+            def ingest(delta):
+                try:
+                    start.wait(timeout=30)
+                    payloads.append(engine.ingest(delta))
+                except Exception as error:  # pragma: no cover
+                    errors.append(error)
+
+            threads = [threading.Thread(target=ingest, args=(delta,))
+                       for delta in deltas]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert not errors, errors
+            assert overlaps[0] == 0
+            assert engine.generation == 3
+            assert sorted(payload["generation"] for payload in payloads) == [2, 3]
+            final = engine._incremental.aligner.align(5)
+            served = engine.rank(np.arange(len(final.source_ids)), 5)
+            assert np.array_equal(served.target_ids, final.target_ids)
+            assert np.array_equal(served.scores, final.scores)
+
     def test_empty_delta_ingest_is_a_noop(self, artifacts):
         from repro.incremental import DeltaBatch
 
