@@ -15,34 +15,37 @@ gradient checks in ``tests/autograd``.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
-_GRAD_ENABLED = True
+#: Per-context (hence per-thread) switch: a ``no_grad()`` in one thread
+#: must not stop another thread's tape from recording.
+_GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "repro_grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling gradient tape recording.
+    """Context manager disabling gradient tape recording in this context.
 
     Used during evaluation and semantic propagation, where the paper's
-    Algorithm 1 explicitly operates outside the training loop.
+    Algorithm 1 explicitly operates outside the training loop.  Other
+    threads keep recording.
     """
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record gradients."""
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -75,7 +78,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_array(data)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED.get()
         self.grad: np.ndarray | None = None
         self._backward: Callable[[], None] | None = None
         self._prev: tuple[Tensor, ...] = ()
@@ -142,9 +145,10 @@ class Tensor:
     # ------------------------------------------------------------------
     # Tape plumbing
     # ------------------------------------------------------------------
-    def _make_result(self, data: np.ndarray, parents: Sequence["Tensor"],
+    @staticmethod
+    def _make_result(data: np.ndarray, parents: Sequence["Tensor"],
                      backward: Callable[["Tensor"], None]) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._prev = tuple(parents)
@@ -451,12 +455,7 @@ class Tensor:
                 slicer[axis] = slice(start, end)
                 tensor._accumulate(out.grad[tuple(slicer)])
 
-        requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-        out = Tensor(value, requires_grad=requires)
-        if requires:
-            out._prev = tuple(tensors)
-            out._backward = lambda: backward(out)
-        return out
+        return Tensor._make_result(value, tensors, backward)
 
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
@@ -468,12 +467,7 @@ class Tensor:
             for tensor, grad in zip(tensors, grads):
                 tensor._accumulate(np.squeeze(grad, axis=axis))
 
-        requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-        out = Tensor(value, requires_grad=requires)
-        if requires:
-            out._prev = tuple(tensors)
-            out._backward = lambda: backward(out)
-        return out
+        return Tensor._make_result(value, tensors, backward)
 
     @staticmethod
     def where(condition: np.ndarray, a: "Tensor", b: "Tensor") -> "Tensor":
@@ -486,9 +480,4 @@ class Tensor:
             a._accumulate(out.grad * condition)
             b._accumulate(out.grad * (~condition))
 
-        requires = _GRAD_ENABLED and (a.requires_grad or b.requires_grad)
-        out = Tensor(value, requires_grad=requires)
-        if requires:
-            out._prev = (a, b)
-            out._backward = lambda: backward(out)
-        return out
+        return Tensor._make_result(value, (a, b), backward)

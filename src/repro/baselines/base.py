@@ -21,6 +21,7 @@ import numpy as np
 from ..autograd import Tensor, no_grad
 from ..core.config import DEFAULT_ENCODE_BATCH, MODALITY_ORDER
 from ..core.losses import bidirectional_contrastive_loss
+from ..core.model import encode_sampled
 from ..core.task import PreparedTask
 from ..kg.sampling import NeighbourSampler, SubgraphView, attention_pattern
 from ..nn import GAT, GCN, Linear, Module, ModuleDict, Parameter, init
@@ -200,6 +201,10 @@ class ModalBaselineModel(Module):
         """Joint embeddings of the view's seed rows (sampled forward)."""
         return self.joint_from_modal(self.modal_embeddings_subgraph(side, view))
 
+    def embed_subgraph(self, side: str, view: SubgraphView) -> np.ndarray:
+        """Evaluation joint embeddings of the view's seed rows."""
+        return self.encode_subgraph(side, view).numpy()
+
     def subgraph_loss(self, source_view: SubgraphView, target_view: SubgraphView,
                       source_index: np.ndarray, target_index: np.ndarray,
                       source_local: np.ndarray | None = None,
@@ -222,22 +227,11 @@ class ModalBaselineModel(Module):
     def encode_entities_sampled(self, side: str,
                                 batch_size: int = DEFAULT_ENCODE_BATCH) -> np.ndarray:
         """Joint embeddings of *all* entities via batched subgraph forwards."""
-        prepared = self._prepared(side)
-        sampler = self._eval_samplers.get(side)
-        if sampler is None:
-            sampler = self.neighbour_sampler(side)
-            self._eval_samplers[side] = sampler
-        num_entities = prepared.num_entities
-        embeddings: np.ndarray | None = None
-        with no_grad():
-            for start in range(0, num_entities, batch_size):
-                seeds = np.arange(start, min(start + batch_size, num_entities))
-                view = sampler.sample(seeds)
-                values = self.encode_subgraph(side, view).numpy()
-                if embeddings is None:
-                    embeddings = np.empty((num_entities, values.shape[1]))
-                view.scatter_rows(values, embeddings)
-        return embeddings
+        if side not in self._eval_samplers:
+            self._eval_samplers[side] = self.neighbour_sampler(side)
+        sampler = self._eval_samplers[side]
+        return encode_sampled(self, side, sampler,
+                              np.arange(sampler.num_nodes), batch_size)
 
     # ------------------------------------------------------------------
     # Aligner interface
@@ -267,14 +261,21 @@ class ModalBaselineModel(Module):
         :meth:`joint_from_modal` with a GNN channel (GCN-Align, EVA);
         entity-coupled baselines raise from that hook instead.
         """
-        del use_propagation  # no propagation decoder: single-state decode
         if encode not in {"full", "sampled"}:
             raise ValueError("encode must be 'full' or 'sampled'")
         if encode == "sampled":
             batch = encode_batch_size or DEFAULT_ENCODE_BATCH
-            return ([self.encode_entities_sampled("source", batch_size=batch)],
-                    [self.encode_entities_sampled("target", batch_size=batch)])
-        with no_grad():
-            source = self.joint_embedding("source").numpy()
-            target = self.joint_embedding("target").numpy()
+            source = self.encode_entities_sampled("source", batch_size=batch)
+            target = self.encode_entities_sampled("target", batch_size=batch)
+        else:
+            with no_grad():
+                source = self.joint_embedding("source").numpy()
+                target = self.joint_embedding("target").numpy()
+        return self.states_from_embeddings(source, target, use_propagation)
+
+    def states_from_embeddings(self, source: np.ndarray, target: np.ndarray,
+                               use_propagation: bool = False
+                               ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """One decode round: baselines have no propagation decoder."""
+        del use_propagation
         return [source], [target]

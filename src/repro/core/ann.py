@@ -34,19 +34,23 @@ resulting :class:`~repro.core.similarity.TopKSimilarity` is flagged
 ``approximate`` and every consumer that would be silently lossy on it
 (CSLS ranking, exact-row fallbacks) refuses instead of degrading.
 
-All candidate generation and the restricted decode report their work to an
-optional :func:`flops_counter`, measured in *similarity cells* (one cell is
-one d-dimensional dot product) so benchmarks can enforce a FLOPs budget
-relative to the ``n_s · n_t`` exhaustive decode.
+Work is metered in *similarity cells* (one cell is one d-dimensional dot
+product) to every open :func:`flops_counter`, so benchmarks can enforce a
+FLOPs budget relative to the ``n_s · n_t`` exhaustive decode.  Candidate
+generation charges its own cells (k-means, centroid scoring, escalation
+probes, LSH projections).  The decode kernels only *return* their count
+(``computed_cells``); the caller that owns a partial charges it once —
+:func:`~repro.core.similarity.blockwise_topk` (serial or sharded),
+:meth:`repro.pipeline.Aligner.rank_rows` and the incremental re-decode.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..kg.sampling import flat_row_positions
 from .registries import CANDIDATE_REGISTRY, register_candidate_generator
 
 __all__ = [
@@ -60,7 +64,6 @@ __all__ = [
     "recall_at_k",
     "flops_counter",
     "count_dot_products",
-    "paused_flops_counting",
 ]
 
 
@@ -84,7 +87,7 @@ class flops_counter:
     """Context manager counting every dot product computed inside its scope.
 
     Candidate generation (k-means, centroid scoring, LSH projections) and
-    the blockwise decode both report to the innermost active counter, so
+    the owner of every decode partial report to each active counter, so
 
     >>> with flops_counter() as counter:
     ...     topk = blockwise_topk(source, target, row_candidates=cands)
@@ -108,23 +111,6 @@ def count_dot_products(cells: int) -> None:
     """Report ``cells`` dot products to every active :func:`flops_counter`."""
     for counter in _COUNTER_STACK:
         counter.add(cells)
-
-
-@contextmanager
-def paused_flops_counting():
-    """Temporarily detach every active counter.
-
-    The sharded decode driver charges the merged partials' cell counts to
-    the parent's counters once (forked workers' counters live in the child
-    processes and never propagate back); its in-process fallback therefore
-    runs under this pause so the same cells are not charged twice.
-    """
-    saved = _COUNTER_STACK[:]
-    _COUNTER_STACK.clear()
-    try:
-        yield
-    finally:
-        _COUNTER_STACK.extend(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +358,7 @@ class RowCandidates:
             raise ValueError("row ids out of range")
         starts = self.indptr[rows]
         counts = self.indptr[rows + 1] - starts
-        positions = _flat_bucket_positions(starts, counts)
+        positions = flat_row_positions(starts, counts)
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return RowCandidates(indptr=indptr, indices=self.indices[positions],
@@ -398,7 +384,7 @@ class RowCandidates:
         # in ascending id order.
         deficient_counts = counts[deficient]
         limit = min(self.num_columns, int(min_count + deficient_counts.max()))
-        positions = _flat_bucket_positions(self.indptr[deficient], deficient_counts)
+        positions = flat_row_positions(self.indptr[deficient], deficient_counts)
         have_cols = self.indices[positions]
         have_rows = np.repeat(np.arange(len(deficient)), deficient_counts)
         present = np.zeros((len(deficient), limit), dtype=bool)
@@ -438,13 +424,11 @@ def _concat_states(states) -> np.ndarray:
     return np.concatenate([_normalize_rows(np.asarray(s)) for s in states], axis=1)
 
 
-def _flat_bucket_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    exclusive = np.cumsum(counts) - counts
-    offsets = np.arange(total) - np.repeat(exclusive, counts)
-    return np.repeat(starts, counts) + offsets
+def _ivf_cell_count(n_clusters: int | None, num_vectors: int) -> int:
+    """IVF cells over ``num_vectors``: ``n_clusters`` (``None`` ≈ sqrt(n)), at most n."""
+    if n_clusters is None:
+        n_clusters = max(1, int(round(np.sqrt(num_vectors))))
+    return min(int(n_clusters), num_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +458,7 @@ class IVFIndex:
             raise ValueError("vectors must be a non-empty 2-D array")
         self.vectors = vectors
         num = len(vectors)
-        if n_clusters is None:
-            n_clusters = max(1, int(round(np.sqrt(num))))
-        self.n_clusters = min(int(n_clusters), num)
+        self.n_clusters = _ivf_cell_count(n_clusters, num)
         rng = np.random.default_rng(seed)
 
         # Lloyd's training set: everything by default; a seeded subsample
@@ -540,6 +522,14 @@ class IVFIndex:
         #: staleness counter incremental callers consult to schedule a
         #: :meth:`refit` re-quantisation.
         self.num_inserted = 0
+
+    @classmethod
+    def from_config(cls, vectors: np.ndarray, config: AnnConfig, seed: int,
+                    init_centroids: np.ndarray | None = None) -> "IVFIndex":
+        """The quantiser ``config`` describes; fit-time and ingest builds share it."""
+        return cls(vectors, n_clusters=config.n_clusters,
+                   kmeans_iters=config.kmeans_iters, seed=seed,
+                   init_centroids=init_centroids, train_size=config.train_size)
 
     # ------------------------------------------------------------------
     def rebuild_buckets(self) -> None:
@@ -652,7 +642,7 @@ class IVFIndex:
         query_of_probe = np.repeat(np.arange(len(queries)), probed.shape[1])
         starts = self.bucket_indptr[clusters]
         counts = self.bucket_indptr[clusters + 1] - starts
-        positions = _flat_bucket_positions(starts, counts)
+        positions = flat_row_positions(starts, counts)
         cols = self.bucket_indices[positions]
         rows = np.repeat(query_of_probe, counts)
         return RowCandidates.from_pairs(rows, cols, len(queries), len(self.vectors))
@@ -695,7 +685,7 @@ class IVFIndex:
             clusters = order[active, position]
             starts = self.bucket_indptr[clusters]
             counts = self.bucket_indptr[clusters + 1] - starts
-            positions = _flat_bucket_positions(starts, counts)
+            positions = flat_row_positions(starts, counts)
             cols = self.bucket_indices[positions]
             rows = np.repeat(active, counts)
             if len(cols):
@@ -807,7 +797,7 @@ class RandomHyperplaneLSH:
             starts = np.searchsorted(sorted_codes, codes[:, table], side="left")
             stops = np.searchsorted(sorted_codes, codes[:, table], side="right")
             counts = stops - starts
-            positions = _flat_bucket_positions(starts, counts)
+            positions = flat_row_positions(starts, counts)
             cols_parts.append(self._sorted_ids[table][positions])
             rows_parts.append(np.repeat(np.arange(len(queries)), counts))
         return RowCandidates.from_pairs(
@@ -838,25 +828,17 @@ def _ivf_candidates(source_concat: np.ndarray, target_concat: np.ndarray,
                     warm_start: IVFWarmStart | None = None) -> RowCandidates | None:
     """IVF candidate sets; ``None`` when probing provably covers every cell."""
     seed = config.resolved_seed()
-    if not config.exact_escalation and config.nprobe is not None:
-        num_targets = len(target_concat)
-        n_clusters = config.n_clusters
-        if n_clusters is None:
-            n_clusters = max(1, int(round(np.sqrt(num_targets))))
-        if config.nprobe >= min(int(n_clusters), num_targets):
-            return None
+    if (not config.exact_escalation and config.nprobe is not None
+            and config.nprobe >= _ivf_cell_count(config.n_clusters,
+                                                 len(target_concat))):
+        return None
 
     def build(vectors: np.ndarray, key: str, index_seed: int) -> IVFIndex:
         init = None
         if warm_start is not None:
-            probe_clusters = config.n_clusters
-            if probe_clusters is None:
-                probe_clusters = max(1, int(round(np.sqrt(len(vectors)))))
-            probe_clusters = min(int(probe_clusters), len(vectors))
-            init = warm_start.get(key, probe_clusters, vectors.shape[1])
-        index = IVFIndex(vectors, n_clusters=config.n_clusters,
-                         kmeans_iters=config.kmeans_iters, seed=index_seed,
-                         init_centroids=init, train_size=config.train_size)
+            cells = _ivf_cell_count(config.n_clusters, len(vectors))
+            init = warm_start.get(key, cells, vectors.shape[1])
+        index = IVFIndex.from_config(vectors, config, index_seed, init)
         if warm_start is not None:
             warm_start.store(key, index.centroids)
         return index

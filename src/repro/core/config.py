@@ -146,6 +146,9 @@ class TrainingConfig:
         LSH offers no such guarantee (pseudo-seeding would be silently
         lossy).  The ``ann`` seed defaults to this config's ``seed``, so
         one seed drives the sampler, the loader and the quantiser alike.
+    log_energy:
+        Must stay ``False`` (saved specs write it); energy is logged by
+        ``Trainer(..., energy_monitor=EnergyMonitor())``.
     """
 
     epochs: int = 120
@@ -179,6 +182,9 @@ class TrainingConfig:
         rules.check_fanouts(self.fanouts)
         if self.eval_batch_size <= 0:
             raise ValueError("eval_batch_size must be positive")
+        if self.log_energy:
+            raise ValueError("log_energy=True is not supported; log the energy "
+                             "with Trainer(..., energy_monitor=EnergyMonitor())")
 
     def with_overrides(self, **kwargs) -> "TrainingConfig":
         """Return a copy with selected fields replaced."""

@@ -19,7 +19,26 @@ from .losses import LossBreakdown, MultiModalSemanticLoss
 from .propagation import SemanticPropagation
 from .task import PreparedTask
 
-__all__ = ["DESAlign"]
+__all__ = ["DESAlign", "encode_sampled"]
+
+
+def encode_sampled(model, side: str, sampler: NeighbourSampler,
+                   rows: np.ndarray, batch_size: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluation embeddings of ``rows`` via batched subgraph forwards.
+
+    Each seed batch's view is embedded by ``model.embed_subgraph`` and
+    scattered into ``out`` (a fresh ``(sampler.num_nodes, d)`` array when
+    ``None``); no single forward touches the whole graph.
+    """
+    with no_grad():
+        for start in range(0, len(rows), batch_size):
+            view = sampler.sample(rows[start:start + batch_size])
+            values = model.embed_subgraph(side, view)
+            if out is None:
+                out = np.empty((sampler.num_nodes, values.shape[1]))
+            view.scatter_rows(values, out)
+    return out
 
 
 class DESAlign(Module):
@@ -103,33 +122,20 @@ class DESAlign(Module):
         return self.encoder(side, prepared.features.features, prepared.adjacency,
                             subgraph=view)
 
-    def encode_entities_sampled(self, side: str, kind: str | None = None,
-                                batch_size: int = DEFAULT_ENCODE_BATCH) -> np.ndarray:
-        """Joint embeddings of *all* entities via batched subgraph forwards.
+    def embed_subgraph(self, side: str, view: SubgraphView) -> np.ndarray:
+        """Evaluation joint embeddings of the view's seed rows."""
+        output = self.encode_subgraph(side, view)
+        return output.joint(self.config.evaluation_embedding).numpy()
 
-        Walks the entity set in seed batches, encodes each batch's
-        full-neighbourhood subgraph and scatters the output rows back into
-        a global ``(N, D)`` array — so no single forward pass ever touches
-        the whole graph, which is what lets inference run under the same
-        memory envelope as neighbour-sampled training.
-        """
-        kind = kind or self.config.evaluation_embedding
-        prepared = self.task.source if side == "source" else self.task.target
-        sampler = self._eval_samplers.get(side)
-        if sampler is None:
-            sampler = self.neighbour_sampler(side)
-            self._eval_samplers[side] = sampler
-        num_entities = prepared.num_entities
-        embeddings: np.ndarray | None = None
-        with no_grad():
-            for start in range(0, num_entities, batch_size):
-                seeds = np.arange(start, min(start + batch_size, num_entities))
-                view = sampler.sample(seeds)
-                values = self.encode_subgraph(side, view).joint(kind).numpy()
-                if embeddings is None:
-                    embeddings = np.empty((num_entities, values.shape[1]))
-                view.scatter_rows(values, embeddings)
-        return embeddings
+    def encode_entities_sampled(self, side: str,
+                                batch_size: int = DEFAULT_ENCODE_BATCH) -> np.ndarray:
+        """Joint embeddings of *all* entities via batched subgraph forwards,
+        so inference runs in the memory envelope of sampled training."""
+        if side not in self._eval_samplers:
+            self._eval_samplers[side] = self.neighbour_sampler(side)
+        sampler = self._eval_samplers[side]
+        return encode_sampled(self, side, sampler,
+                              np.arange(sampler.num_nodes), batch_size)
 
     # ------------------------------------------------------------------
     # Training loss
@@ -221,18 +227,22 @@ class DESAlign(Module):
         batched subgraph forwards, so no stage touches the full graph at
         once.
         """
-        source_embeddings, target_embeddings = self._evaluation_embeddings(
-            encode=encode, encode_batch_size=encode_batch_size)
-        if use_propagation and self.config.propagation_iters > 0:
-            source_known, target_known = self.propagation_masks()
-            source_states = self.propagation.propagate_features(
-                source_embeddings, self.task.source.adjacency, source_known)
-            target_states = self.propagation.propagate_features(
-                target_embeddings, self.task.target.adjacency, target_known)
-            if not self.config.propagation_average:
-                source_states = [source_states[-1]]
-                target_states = [target_states[-1]]
-        else:
-            source_states = [source_embeddings]
-            target_states = [target_embeddings]
+        return self.states_from_embeddings(
+            *self._evaluation_embeddings(encode, encode_batch_size),
+            use_propagation=use_propagation)
+
+    def states_from_embeddings(self, source: np.ndarray, target: np.ndarray,
+                               use_propagation: bool = True
+                               ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-round decode states of evaluation embeddings: Semantic
+        Propagation over each side's graph (Algorithm 1, lines 11–14)."""
+        if not (use_propagation and self.config.propagation_iters > 0):
+            return [source], [target]
+        source_known, target_known = self.propagation_masks()
+        source_states = self.propagation.propagate_features(
+            source, self.task.source.adjacency, source_known)
+        target_states = self.propagation.propagate_features(
+            target, self.task.target.adjacency, target_known)
+        if not self.config.propagation_average:
+            return [source_states[-1]], [target_states[-1]]
         return source_states, target_states

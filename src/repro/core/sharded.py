@@ -30,12 +30,10 @@ worker and only the partial reduction travels back.  Platforms without
 ``fork`` — or pool start-up failures — degrade to an in-process scan of
 the same shards, which merges to the identical result.
 
-FLOPs accounting: a forked worker's :func:`~repro.core.ann.flops_counter`
-stack lives in the child and never reaches the parent, so the decode
-engine charges the *merged* partial's ``computed_cells`` to the parent's
-counters after the scan.  The in-process fallback therefore runs under
-:func:`~repro.core.ann.paused_flops_counting` — otherwise the same cells
-would be counted twice.
+FLOPs accounting: the scan kernels meter nothing themselves — they return
+``computed_cells`` — and the decode engine charges the *merged* partial's
+count to the parent's :func:`~repro.core.ann.flops_counter` stack once,
+whether the shards ran in forked workers or in-process.
 
 Memory accounting: each forked worker records its own peak RSS
 (``RUSAGE_SELF``, a per-process high-water mark) into
@@ -53,7 +51,7 @@ import sys
 
 import numpy as np
 
-from .ann import RowCandidates, paused_flops_counting
+from .ann import RowCandidates
 
 __all__ = ["shard_boundaries", "scan_partials_parallel", "default_num_workers"]
 
@@ -161,12 +159,10 @@ def scan_partials_parallel(source_norm: list[np.ndarray],
             _FORK_STATE = None
 
     # In-process fallback: same shards, same partials, same merge — minus
-    # the parallelism.  Counting is paused because the caller charges the
-    # merged computed_cells (see module docstring).
+    # the parallelism.
     state["report_rss"] = False
     _FORK_STATE = state
     try:
-        with paused_flops_counting():
-            return [_run_shard(shard_bounds) for shard_bounds in bounds]
+        return [_run_shard(shard_bounds) for shard_bounds in bounds]
     finally:
         _FORK_STATE = None

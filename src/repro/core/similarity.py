@@ -303,6 +303,7 @@ def compute_partial_topk(source_norm: list[np.ndarray],
     up-front normalisation pass).  ``row_start`` should be a multiple of
     ``block_size`` so a sharded scan issues the very same block GEMMs as
     the single-process one, making the merged decode bit-identical.
+    The kernel meters nothing: the caller charges ``computed_cells``.
     """
     num_rows = row_stop - row_start
     num_cols = target_norm[0].shape[0]
@@ -318,7 +319,6 @@ def compute_partial_topk(source_norm: list[np.ndarray],
     for start in range(row_start, row_stop, block_size):
         stop = min(start + block_size, row_stop)
         local = start - row_start
-        count_dot_products((stop - start) * num_cols * num_rounds)
         block = source_norm[0][start:stop] @ target_norm[0].T
         for round_index in range(1, num_rounds):
             block = block + source_norm[round_index][start:stop] @ target_norm[round_index].T
@@ -471,9 +471,9 @@ def blockwise_topk(source, target, k: int = 10,
         from .sharded import scan_partials_parallel
         partial = merge_partial_topk(scan_partials_parallel(
             source_norm, target_norm, num_workers=num_workers, **scan))
-        count_dot_products(partial.computed_cells)
     else:
         partial = scan_rows(source_norm, target_norm, 0, num_source, **scan)
+    count_dot_products(partial.computed_cells)
     return topk_from_partial(partial, (num_source, num_cols), csls_k=csls_k,
                              dtype=dtype, source_norm=source_norm,
                              target_norm=target_norm)
@@ -553,7 +553,8 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
     is one per-edge ``einsum`` dot product per round, computed from that
     cell's own source and target rows only, so neither shard membership
     nor which other rows share the call (a served row subset, an
-    incremental re-decode) can change a value.
+    incremental re-decode) can change a value.  The kernel meters nothing:
+    the caller charges ``computed_cells``.
     """
     dtype = np.dtype(dtype)
     indptr, cand_indices = row_candidates.indptr, row_candidates.indices
@@ -576,7 +577,6 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
         counts = np.diff(indptr[start:stop + 1])
         rows_local = np.repeat(np.arange(num_rows), counts)
         computed += len(cols) * num_rounds
-        count_dot_products(len(cols) * num_rounds)
         values = np.zeros(len(cols), dtype=dtype)
         for round_index in range(num_rounds):
             values = values + np.einsum(

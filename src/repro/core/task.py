@@ -22,19 +22,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..data.features import ModalFeatureSet, build_feature_set
+from ..kg.graph import MultiModalKG
 from ..kg.laplacian import graph_laplacian, normalized_adjacency
 from ..kg.pair import KGPair
 from ..kg.sparse import graph_laplacian_sparse, normalized_adjacency_sparse
+from .rules import check_backend
 
-__all__ = ["BACKENDS", "PreparedSide", "PreparedTask", "prepare_task"]
-
-#: Supported graph backends.
-BACKENDS = ("dense", "sparse")
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+__all__ = ["PreparedSide", "PreparedTask", "prepare_task", "prepare_side"]
 
 
 @dataclass
@@ -61,7 +55,7 @@ class PreparedSide:
         Conversion is a pure storage-format change — the matrix values are
         preserved exactly, so dense and sparse runs stay bit-comparable.
         """
-        _check_backend(backend)
+        check_backend(backend)
         if backend == self.backend:
             return self
         if backend == "sparse":
@@ -100,7 +94,7 @@ class PreparedTask:
 
     def with_backend(self, backend: str) -> "PreparedTask":
         """Return the task with both sides converted to ``backend``."""
-        _check_backend(backend)
+        check_backend(backend)
         if backend == self.backend:
             return self
         return replace(self,
@@ -116,6 +110,25 @@ class PreparedTask:
         return self.test_pairs[:, 0], self.test_pairs[:, 1]
 
 
+def prepare_side(graph: MultiModalKG, features: ModalFeatureSet,
+                 backend: str) -> PreparedSide:
+    """One side's matrices (row ``i`` is entity ``i``) around its features.
+
+    ``backend="sparse"`` builds them as CSR straight from the triples.
+    """
+    if backend == "sparse":
+        adjacency = graph.adjacency_matrix(sparse=True)
+        normalized = normalized_adjacency_sparse(adjacency)
+        laplacian = graph_laplacian_sparse(adjacency)
+    else:
+        adjacency = graph.adjacency_matrix()
+        normalized = normalized_adjacency(adjacency)
+        laplacian = graph_laplacian(adjacency)
+    return PreparedSide(features=features, adjacency=adjacency,
+                        normalized_adjacency=normalized,
+                        laplacian=laplacian, backend=backend)
+
+
 def prepare_task(pair: KGPair,
                  relation_dim: int = 48,
                  attribute_dim: int = 48,
@@ -128,13 +141,10 @@ def prepare_task(pair: KGPair,
 
     Feature dimensionalities are shared between the two graphs (relations
     and attributes are feature-hashed into fixed-length Bag-of-Words
-    vectors, Sec. V-A(4)) so a single encoder can process both sides.
-
-    With ``backend="sparse"`` the adjacency, normalised adjacency and
-    Laplacian are built as CSR matrices straight from the triples — no
-    ``n x n`` dense array is ever materialised.
+    vectors, Sec. V-A(4)) so a single encoder can process both sides; each
+    side's matrices come from :func:`prepare_side`.
     """
-    _check_backend(backend)
+    check_backend(backend)
     rng = np.random.default_rng(seed)
     if vision_dim is None:
         dims = []
@@ -154,21 +164,7 @@ def prepare_task(pair: KGPair,
             structure_dim=structure_dim,
             imputation=imputation,
         )
-        if backend == "sparse":
-            adjacency = graph.adjacency_matrix(sparse=True)
-            normalized = normalized_adjacency_sparse(adjacency)
-            laplacian = graph_laplacian_sparse(adjacency)
-        else:
-            adjacency = graph.adjacency_matrix()
-            normalized = normalized_adjacency(adjacency)
-            laplacian = graph_laplacian(adjacency)
-        sides[key] = PreparedSide(
-            features=features,
-            adjacency=adjacency,
-            normalized_adjacency=normalized,
-            laplacian=laplacian,
-            backend=backend,
-        )
+        sides[key] = prepare_side(graph, features, backend)
 
     train, test = pair.split(np.random.default_rng(seed + 1))
     train_pairs = np.asarray([[p.source, p.target] for p in train], dtype=np.int64)

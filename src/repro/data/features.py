@@ -23,6 +23,7 @@ __all__ = [
     "visual_feature_matrix",
     "ModalFeatureSet",
     "build_feature_set",
+    "random_from_distribution",
 ]
 
 
@@ -141,6 +142,16 @@ class ModalFeatureSet:
         return present, np.array([], dtype=np.int64), missing
 
 
+def random_from_distribution(native: np.ndarray, count: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """``count`` rows from the per-column normal of ``native`` (standard if empty)."""
+    if len(native):
+        mean, std = native.mean(axis=0), native.std(axis=0) + 1e-8
+    else:
+        mean, std = np.zeros(native.shape[1]), np.ones(native.shape[1])
+    return rng.normal(mean, std, size=(count, native.shape[1]))
+
+
 def _impute_missing(features: np.ndarray, mask: np.ndarray,
                     rng: np.random.Generator, strategy: str) -> np.ndarray:
     """Fill rows where ``mask`` is False according to ``strategy``."""
@@ -151,13 +162,8 @@ def _impute_missing(features: np.ndarray, mask: np.ndarray,
     if strategy == "zero":
         filled[missing] = 0.0
     elif strategy == "random_from_distribution":
-        if mask.any():
-            mean = features[mask].mean(axis=0)
-            std = features[mask].std(axis=0) + 1e-8
-        else:
-            mean = np.zeros(features.shape[1])
-            std = np.ones(features.shape[1])
-        filled[missing] = rng.normal(mean, std, size=(missing.sum(), features.shape[1]))
+        filled[missing] = random_from_distribution(features[mask],
+                                                   int(missing.sum()), rng)
     elif strategy == "mean":
         mean = features[mask].mean(axis=0) if mask.any() else np.zeros(features.shape[1])
         filled[missing] = mean

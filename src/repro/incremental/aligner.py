@@ -8,9 +8,9 @@ re-fit.  One :meth:`ingest` runs the delta lifecycle:
    CSR row orders stable, new rows appended);
 2. **warm encode**: the fitted model's parameters are reused — only the
    structural embedding tables grow by freshly initialised rows — and the
-   model's :class:`~repro.kg.sampling.NeighbourSampler` re-encodes just
-   the delta's receptive field (new rows plus existing rows within the
-   fanout horizon of any touched row);
+   model's sampled-inference loop re-encodes just the delta's receptive
+   field (new rows plus existing rows within the fanout horizon of any
+   touched row), followed by the model's own propagation step;
 3. **IVF insert**: new target vectors are bucketed by nearest centroid
    through :meth:`~repro.core.ann.IVFIndex.insert` (moved vectors are
    re-assigned in place); a staleness counter triggers periodic
@@ -25,10 +25,13 @@ re-fit.  One :meth:`ingest` runs the delta lifecycle:
    persisted with :meth:`~repro.pipeline.Aligner.save`) ready for the
    serving engine's prewarm–drain–swap promotion.
 
-A zero-sized delta is a bit-exact no-op: the current aligner is returned
-untouched.  Work is proportional to the delta — the per-ingest counters
-(``rows_encoded`` / ``rows_decoded``) expose exactly how many rows each
-stage recomputed.
+Every step calls the function fit runs for the same job (side
+preparation, imputation draw, sampled encode, propagation, IVF build,
+candidate kernel) rather than a mirror of it, so ingest cannot drift from
+fit.  A zero-sized delta is a bit-exact no-op: the current aligner is
+returned untouched.  Work is proportional to the delta — the per-ingest
+counters (``rows_encoded`` / ``rows_decoded``) expose exactly how many
+rows each stage recomputed.
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..autograd import no_grad
 from ..core.ann import (IVFIndex, RowCandidates, _concat_states,
-                        _flat_bucket_positions, _normalize_rows, resolve_ann)
+                        _normalize_rows, count_dot_products, resolve_ann)
 from ..core.config import DEFAULT_ENCODE_BATCH
+from ..core.model import encode_sampled
 from ..core.similarity import (DEFAULT_BLOCK_SIZE, PartialTopK,
                                TopKSimilarity, compute_partial_topk_candidates,
                                merge_partials, topk_from_partial)
+from ..kg.sampling import flat_row_positions
 from ..nn import Parameter
 from ..pipeline.facade import Aligner
 from ..pipeline.spec import CUSTOM_DATASET, DeltaSpec
@@ -99,8 +103,8 @@ def _rows_with_changed_candidates(old: RowCandidates, new: RowCandidates,
     same = np.flatnonzero(~changed)
     if len(same):
         counts = old_counts[same]
-        old_flat = old.indices[_flat_bucket_positions(old.indptr[same], counts)]
-        new_flat = new.indices[_flat_bucket_positions(new.indptr[same], counts)]
+        old_flat = old.indices[flat_row_positions(old.indptr[same], counts)]
+        new_flat = new.indices[flat_row_positions(new.indptr[same], counts)]
         mismatch = old_flat != new_flat
         if mismatch.any():
             rows_rep = np.repeat(same, counts)
@@ -169,16 +173,12 @@ class IncrementalAligner:
         self._ann = (resolve_ann(decode.ann, spec.training.seed)
                      if decode.candidates == "ivf" else None)
         if decode.candidates == "ivf" and self._candidates is not None:
-            # Deterministic re-derivation of the fitted quantiser: same
-            # vectors, n_clusters, iteration budget and seed as
-            # _ivf_candidates used at fit time, hence identical centroids,
-            # assignments and candidate sets.
-            self._ivf = IVFIndex(
-                _concat_states(self._states[1]),
-                n_clusters=self._ann.n_clusters,
-                kmeans_iters=self._ann.kmeans_iters,
-                seed=self._ann.resolved_seed(),
-                train_size=self._ann.train_size)
+            # Deterministic re-derivation of the fitted quantiser: fit's
+            # own IVFIndex.from_config over the same vectors and seed,
+            # hence identical centroids, assignments and candidate sets.
+            self._ivf = IVFIndex.from_config(_concat_states(self._states[1]),
+                                             self._ann,
+                                             self._ann.resolved_seed())
         else:
             # Exhaustive decode, or an IVF config that provably covers
             # every cell (candidates=None): there is no index to maintain
@@ -234,7 +234,8 @@ class IncrementalAligner:
 
         # Re-run propagation over the extended graphs (O(|E|·d) smoothing,
         # not an encode — the expensive GNN forwards above were delta-sized).
-        src_states, tgt_states = self._propagated(src_raw, tgt_raw)
+        src_states, tgt_states = self.model.states_from_embeddings(
+            src_raw, tgt_raw, self.spec.decode.use_propagation)
 
         # Exact changed-row bookkeeping: a row re-decodes only if any of
         # its per-round states actually moved.
@@ -242,10 +243,8 @@ class IncrementalAligner:
         changed_src = self._changed_rows(src_states, self._states[0], n_s_old)
         changed_tgt = self._changed_rows(tgt_states, self._states[1], n_t_old)
 
-        src_norm = [_normalize_rows(s).astype(np.float64, copy=False)
-                    for s in src_states]
-        tgt_norm = [_normalize_rows(s).astype(np.float64, copy=False)
-                    for s in tgt_states]
+        src_norm = [_normalize_rows(s) for s in src_states]
+        tgt_norm = [_normalize_rows(s) for s in tgt_states]
 
         if self._ivf is not None:
             refit = self._update_index(tgt_states, changed_tgt, n_t_old)
@@ -348,40 +347,14 @@ class IncrementalAligner:
         """
         if len(direct) == 0:
             return 0
-        model = self.model
-        sampler = model.neighbour_sampler(side, fanouts=self.delta_spec.fanouts)
+        sampler = self.model.neighbour_sampler(side,
+                                               fanouts=self.delta_spec.fanouts)
         affected = sampler.sample(np.asarray(direct, dtype=np.int64)).input_nodes
         batch = (self.delta_spec.encode_batch_size
                  or self.spec.decode.encode_batch_size
                  or DEFAULT_ENCODE_BATCH)
-        kind = getattr(getattr(model, "config", None),
-                       "evaluation_embedding", None)
-        with no_grad():
-            for lo in range(0, len(affected), batch):
-                view = sampler.sample(affected[lo:lo + batch])
-                output = model.encode_subgraph(side, view)
-                values = (output.joint(kind).numpy()
-                          if hasattr(output, "joint") else output.numpy())
-                view.scatter_rows(np.asarray(values, dtype=np.float64), raw)
+        encode_sampled(self.model, side, sampler, affected, batch, out=raw)
         return len(affected)
-
-    def _propagated(self, src_raw: np.ndarray, tgt_raw: np.ndarray
-                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Mirror ``model.decode_states`` over the updated raw embeddings."""
-        decode = self.spec.decode
-        model = self.model
-        config = getattr(model, "config", None)
-        if (decode.use_propagation
-                and getattr(config, "propagation_iters", 0) > 0
-                and hasattr(model, "propagation")):
-            src_known, tgt_known = model.propagation_masks()
-            src_states = model.propagation.propagate_features(
-                src_raw, model.task.source.adjacency, src_known)
-            tgt_states = model.propagation.propagate_features(
-                tgt_raw, model.task.target.adjacency, tgt_known)
-            return ([np.asarray(s, dtype=np.float64) for s in src_states],
-                    [np.asarray(s, dtype=np.float64) for s in tgt_states])
-        return [src_raw], [tgt_raw]
 
     @staticmethod
     def _changed_rows(new_states: list[np.ndarray],
@@ -446,8 +419,8 @@ class IncrementalAligner:
         their probed buckets kept their members: identical queries against
         identical centroids select identical buckets, so the CSR diff in
         the re-decode step finds exactly the rows whose sets moved.
-        Mirrors ``_ivf_candidates`` + ``generate_candidates`` (probing,
-        then ``min_candidates`` padding).
+        Probing then ``min_candidates`` padding is what
+        ``generate_candidates`` does at fit time against the fitted index.
         """
         result = self._ivf.candidates(_concat_states(src_states),
                                       nprobe=self._ann.nprobe)
@@ -493,6 +466,7 @@ class IncrementalAligner:
             [s[rows] for s in src_norm], tgt_norm,
             candidates.select_rows(rows).padded(k_keep),
             0, len(rows), k_keep, DEFAULT_BLOCK_SIZE, np.float64)
+        count_dot_products(partial.computed_cells)
         # Remap the shard-local row ids to global ids before merging.
         partial.rows = rows.astype(np.int64)
         touched = partial.col_max > -np.inf

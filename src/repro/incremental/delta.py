@@ -31,13 +31,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.task import PreparedSide, PreparedTask
+from ..core.task import PreparedTask, prepare_side
 from ..data.features import (ModalFeatureSet, bag_of_attributes,
-                             bag_of_relations, visual_feature_matrix)
+                             bag_of_relations, random_from_distribution,
+                             visual_feature_matrix)
 from ..kg.graph import AttributeTriple, MultiModalKG, RelationTriple
-from ..kg.laplacian import graph_laplacian, normalized_adjacency
 from ..kg.pair import AlignmentPair, KGPair
-from ..kg.sparse import graph_laplacian_sparse, normalized_adjacency_sparse
 
 __all__ = ["SideDelta", "DeltaBatch", "DeltaApplication", "apply_delta"]
 
@@ -266,16 +265,9 @@ def _extend_features(old: ModalFeatureSet, new_graph: MultiModalKG,
         to_impute = ~mask
         to_impute[:num_old] &= ~still_imputed
         if to_impute.any():
-            # Same random_from_distribution rule as build_feature_set,
-            # against the extended native population.
-            if mask.any():
-                mean = filled[mask].mean(axis=0)
-                std = filled[mask].std(axis=0) + 1e-8
-            else:
-                mean = np.zeros(filled.shape[1])
-                std = np.ones(filled.shape[1])
-            filled[to_impute] = rng.normal(
-                mean, std, size=(int(to_impute.sum()), filled.shape[1]))
+            # build_feature_set's draw, against the extended native rows.
+            filled[to_impute] = random_from_distribution(
+                filled[mask], int(to_impute.sum()), rng)
         features[modality] = filled
         masks[modality] = mask
         changed |= np.any(filled[:num_old] != old.features[modality], axis=1)
@@ -283,23 +275,6 @@ def _extend_features(old: ModalFeatureSet, new_graph: MultiModalKG,
 
     return (ModalFeatureSet(features=features, masks=masks, graph=new_graph),
             changed)
-
-
-def _prepare_side(graph: MultiModalKG, features: ModalFeatureSet,
-                  backend: str) -> PreparedSide:
-    """Rebuild one side's matrices from the extended graph (prepare_task's
-    construction, row order stable by the positional-id invariant)."""
-    if backend == "sparse":
-        adjacency = graph.adjacency_matrix(sparse=True)
-        normalized = normalized_adjacency_sparse(adjacency)
-        laplacian = graph_laplacian_sparse(adjacency)
-    else:
-        adjacency = graph.adjacency_matrix()
-        normalized = normalized_adjacency(adjacency)
-        laplacian = graph_laplacian(adjacency)
-    return PreparedSide(features=features, adjacency=adjacency,
-                        normalized_adjacency=normalized,
-                        laplacian=laplacian, backend=backend)
 
 
 def apply_delta(task: PreparedTask, delta: DeltaBatch,
@@ -362,8 +337,8 @@ def apply_delta(task: PreparedTask, delta: DeltaBatch,
 
     new_task = PreparedTask(
         pair=new_pair,
-        source=_prepare_side(source_graph, source_features, task.backend),
-        target=_prepare_side(target_graph, target_features, task.backend),
+        source=prepare_side(source_graph, source_features, task.backend),
+        target=prepare_side(target_graph, target_features, task.backend),
         train_pairs=np.asarray(train_pairs, dtype=np.int64),
         test_pairs=task.test_pairs,
         feature_dims=dict(task.feature_dims),

@@ -42,6 +42,7 @@ __all__ = [
     "SubgraphView",
     "NeighbourSampler",
     "attention_pattern",
+    "flat_row_positions",
 ]
 
 
@@ -65,7 +66,7 @@ def attention_pattern(adjacency) -> sp.csr_matrix:
     return pattern
 
 
-def _flat_row_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def flat_row_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Positions into CSR ``indices``/``data`` of the concatenated row slices."""
     total = int(counts.sum())
     if total == 0:
@@ -261,7 +262,7 @@ class NeighbourSampler:
         indptr, indices, data = self.matrix.indptr, self.matrix.indices, self.matrix.data
         starts = indptr[dst_nodes]
         counts = indptr[dst_nodes + 1] - starts
-        positions = _flat_row_positions(starts, counts)
+        positions = flat_row_positions(starts, counts)
         dst_local = np.repeat(np.arange(len(dst_nodes)), counts)
         if fanout is None:
             return indices[positions], data[positions].copy(), dst_local

@@ -8,21 +8,18 @@ are provided and selected by the adjacency type:
 * **dense** (``np.ndarray``): attention logits are computed for every pair
   and masked with the adjacency matrix — simple, but ``O(n²)`` in time and
   memory, viable only for small graphs;
-* **edge-list** (scipy sparse): per-edge logits with a segment softmax over
-  each node's neighbourhood and a scatter-add aggregation, all expressed
-  through the sparse autograd primitives — ``O(|E| d)`` and the form used
-  by the ``backend="sparse"`` pipeline.
+* **edge-list** (a :class:`~repro.kg.sampling.SubgraphLayer`): per-edge
+  logits with a segment softmax over each destination's neighbourhood and
+  a scatter-add aggregation through the sparse autograd primitives —
+  ``O(|E| d)``.  Each layer of a sampled
+  :class:`~repro.kg.sampling.SubgraphView` attends from a shrinking
+  destination set; a scipy sparse adjacency (``backend="sparse"``) runs
+  as one full-neighbourhood layer over its self-looped edge list.
 
-The masked-dense softmax and the segment softmax agree exactly (masked
-entries underflow to zero), which the equivalence tests assert on both the
-forward values and the parameter gradients.
-
-A third, *bipartite* formulation serves mini-batch training: passing a
-:class:`~repro.kg.sampling.SubgraphView` (sampled over an
-``attention_pattern``) runs each layer on its renumbered local edge list,
-attending from a shrinking destination set over its sampled neighbourhood.
-With full-neighbourhood fanout it reproduces the edge-list forward on the
-seed rows (every segment reduction in identical order; the dense weight
+The two softmaxes agree exactly (masked entries underflow to zero), which
+the equivalence tests assert on the forward values and the parameter
+gradients.  A full-neighbourhood view reproduces the full-graph forward on
+its seed rows (segment reductions in identical order; the dense weight
 products match to the last ulp).
 """
 
@@ -41,6 +38,15 @@ from .layers import DiagonalLinear
 __all__ = ["GATLayer", "GAT"]
 
 _MASK_VALUE = -1e9
+
+
+def _full_neighbourhood_layer(adjacency) -> SubgraphLayer:
+    """The whole graph as one layer: every node attends over its self-looped row."""
+    rows, cols = edge_index(adjacency, add_self_loops=True)
+    num_nodes = adjacency.shape[0]
+    return SubgraphLayer(num_src=num_nodes, num_dst=num_nodes, edge_src=cols,
+                         edge_dst=rows, edge_weight=np.ones(len(rows)),
+                         dst_in_src=np.arange(num_nodes))
 
 
 class GATLayer(Module):
@@ -82,16 +88,15 @@ class GATLayer(Module):
     def forward(self, features: Tensor, adjacency) -> Tensor:
         """Run attention over ``adjacency`` (self-loops are added).
 
-        A scipy sparse adjacency selects the edge-list formulation; a dense
-        array keeps the original masked-dense one; a
-        :class:`SubgraphLayer` runs the bipartite sampled formulation
-        (``features`` covering the layer's input nodes, the result its
-        output nodes).
+        A dense array keeps the original masked-dense formulation; a
+        :class:`SubgraphLayer` runs the edge-list one (``features`` covering
+        the layer's input nodes, the result its output nodes), and a scipy
+        sparse adjacency runs as its full-neighbourhood layer.
         """
-        if isinstance(adjacency, SubgraphLayer):
-            return self._forward_bipartite(features, adjacency)
         if sp.issparse(adjacency):
-            return self._forward_edges(features, adjacency)
+            adjacency = _full_neighbourhood_layer(adjacency)
+        if isinstance(adjacency, SubgraphLayer):
+            return self._forward_layer(features, adjacency)
         return self._forward_dense(features, adjacency)
 
     def _forward_dense(self, features: Tensor, adjacency: np.ndarray) -> Tensor:
@@ -107,29 +112,13 @@ class GATLayer(Module):
             outputs.append(attention @ transformed)
         return Tensor.concat(outputs, axis=-1)
 
-    def _forward_edges(self, features: Tensor, adjacency) -> Tensor:
-        num_nodes = adjacency.shape[0]
-        rows, cols = edge_index(adjacency, add_self_loops=True)
-        outputs = []
-        for head in range(self.num_heads):
-            transformed = features @ self._head_weight(head)
-            logits_src = transformed @ self._attn_src[head]          # (N, 1)
-            logits_dst = transformed @ self._attn_dst[head]          # (N, 1)
-            scores = (logits_src.index_select(rows)
-                      + logits_dst.index_select(cols)).leaky_relu(self.negative_slope)
-            attention = segment_softmax(scores, rows, num_nodes)     # (E, 1)
-            messages = transformed.index_select(cols) * attention
-            outputs.append(segment_sum(messages, rows, num_nodes))
-        return Tensor.concat(outputs, axis=-1)
+    def _forward_layer(self, features: Tensor, layer: SubgraphLayer) -> Tensor:
+        """Edge-list attention: input-node features in, output-node rows out.
 
-    def _forward_bipartite(self, features: Tensor, layer: SubgraphLayer) -> Tensor:
-        """Sampled attention: input-node features in, output-node rows out.
-
-        Identical arithmetic to :meth:`_forward_edges` with the destination
-        logits gathered through ``dst_in_src`` (every output node is part of
-        the input set), so with full-neighbourhood edges every segment
-        reduction matches the full-graph edge-list forward in value and
-        order.
+        The destination logits are gathered through ``dst_in_src`` (every
+        output node is part of the input set); edges are ``(dst, src)``
+        sorted, so with full-neighbourhood edges every segment reduction
+        matches the full-graph layer in value and order.
         """
         if features.shape[0] != layer.num_src:
             raise ValueError("features must have one row per subgraph input node")
@@ -175,6 +164,8 @@ class GAT(Module):
                     f"subgraph view has {adjacency.num_layers} layers but the "
                     f"GAT has {len(self.layers)}")
             operators: list = list(adjacency.layers)
+        elif sp.issparse(adjacency):
+            operators = [_full_neighbourhood_layer(adjacency)] * len(self.layers)
         else:
             operators = [adjacency] * len(self.layers)
         hidden = self.diagonal(features)

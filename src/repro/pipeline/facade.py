@@ -32,13 +32,14 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..core.ann import (RowCandidates, _normalize_rows, generate_candidates,
-                        resolve_ann)
+from ..core.ann import (RowCandidates, _normalize_rows, count_dot_products,
+                        generate_candidates, resolve_ann)
 from ..core.registries import build_model_from_spec
 from ..core.similarity import (DEFAULT_BLOCK_SIZE, TopKSimilarity,
                                blockwise_topk, compute_partial_topk_candidates)
@@ -198,7 +199,8 @@ class Aligner:
     inputs (per-round evaluation states) and the generated candidate
     structure are computed once and reused across ``align`` / ``rank``
     calls with different ``k``; they are also exactly what ``save``
-    persists, so a loaded aligner decodes bit-identically.
+    persists, so a loaded aligner decodes bit-identically.  Concurrent
+    queries fill each lazy cache once (double-checked under one lock).
     """
 
     def __init__(self, spec: PipelineSpec, *, task: PreparedTask | None = None,
@@ -226,6 +228,7 @@ class Aligner:
         #: The one normalised copy of the decode tables, shared by every
         #: full-table decode and row-subset serving decode.
         self._norm_states: tuple[list[np.ndarray], list[np.ndarray]] | None = None
+        self._fill_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Cached decode inputs
@@ -260,15 +263,18 @@ class Aligner:
     def decode_states(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """The (cached) per-round evaluation states feeding every decode."""
         if self._states is None:
-            if not self._ensure_model():
-                raise RuntimeError(
-                    "this aligner holds no model and no cached decode states; "
-                    "load() an artifact saved by save() or fit() a pipeline")
-            decode = self.spec.decode
-            self._states = self.model.decode_states(
-                use_propagation=decode.use_propagation,
-                encode=decode.encode,
-                encode_batch_size=decode.encode_batch_size)
+            with self._fill_lock:
+                if self._states is None:
+                    if not self._ensure_model():
+                        raise RuntimeError(
+                            "this aligner holds no model and no cached decode "
+                            "states; load() an artifact saved by save() or "
+                            "fit() a pipeline")
+                    decode = self.spec.decode
+                    self._states = self.model.decode_states(
+                        use_propagation=decode.use_propagation,
+                        encode=decode.encode,
+                        encode_batch_size=decode.encode_batch_size)
         return self._states
 
     def row_candidates(self) -> RowCandidates | None:
@@ -280,13 +286,15 @@ class Aligner:
         reuses the result.
         """
         if not self._candidates_ready:
-            decode = self.spec.decode
-            if decode.candidates != "exhaustive":
-                source_states, target_states = self.decode_states()
-                self._row_candidates = generate_candidates(
-                    decode.candidates, source_states, target_states,
-                    resolve_ann(decode.ann, self.spec.training.seed))
-            self._candidates_ready = True
+            with self._fill_lock:
+                decode = self.spec.decode
+                if (not self._candidates_ready
+                        and decode.candidates != "exhaustive"):
+                    source_states, target_states = self.decode_states()
+                    self._row_candidates = generate_candidates(
+                        decode.candidates, source_states, target_states,
+                        resolve_ann(decode.ann, self.spec.training.seed))
+                self._candidates_ready = True
         return self._row_candidates
 
     def topk(self, k: int | None = None) -> TopKSimilarity:
@@ -296,12 +304,16 @@ class Aligner:
             raise ValueError("k must be positive")
         cached = self._topk_cache.get(k)
         if cached is None:
-            source_norm, target_norm = self._normalized_states()
-            cached = blockwise_topk(source_norm, target_norm, k=k,
-                                    row_candidates=self.row_candidates(),
-                                    pre_normalized=True,
-                                    num_workers=self.spec.decode.num_workers)
-            self._topk_cache[k] = cached
+            with self._fill_lock:
+                cached = self._topk_cache.get(k)
+                if cached is None:
+                    source_norm, target_norm = self._normalized_states()
+                    cached = blockwise_topk(
+                        source_norm, target_norm, k=k,
+                        row_candidates=self.row_candidates(),
+                        pre_normalized=True,
+                        num_workers=self.spec.decode.num_workers)
+                    self._topk_cache[k] = cached
         return cached
 
     def _normalized_states(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -314,13 +326,12 @@ class Aligner:
         normalised values enter the products.
         """
         if self._norm_states is None:
-            source_states, target_states = self.decode_states()
-            dtype = np.dtype(np.float64)
-            self._norm_states = (
-                [_normalize_rows(state).astype(dtype, copy=False)
-                 for state in source_states],
-                [_normalize_rows(state).astype(dtype, copy=False)
-                 for state in target_states])
+            with self._fill_lock:
+                if self._norm_states is None:
+                    source_states, target_states = self.decode_states()
+                    self._norm_states = (
+                        [_normalize_rows(state) for state in source_states],
+                        [_normalize_rows(state) for state in target_states])
         return self._norm_states
 
     def decode_fingerprint(self) -> str:
@@ -407,6 +418,7 @@ class Aligner:
             candidates.select_rows(entity_ids).padded(width),
             0, len(entity_ids), k_keep=width, block_size=DEFAULT_BLOCK_SIZE,
             dtype=np.float64)
+        count_dot_products(partial.computed_cells)
         return TopKAlignment(source_ids=entity_ids, target_ids=partial.indices,
                              scores=partial.scores, approximate=True)
 

@@ -1,5 +1,7 @@
 """Unit tests for the basic Tensor operations (forward values and gradients)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,33 @@ class TestBackwardMechanics:
             out = a * 2
         assert is_grad_enabled()
         assert not out.requires_grad
+
+    def test_no_grad_in_one_thread_leaves_others_recording(self):
+        """Thread A holds no_grad() open while thread B builds its tape."""
+        a = Tensor([1.0], requires_grad=True)
+        entered, computed = threading.Barrier(2), threading.Barrier(2)
+        results = {}
+
+        def holder():
+            with no_grad():
+                entered.wait(timeout=10)
+                computed.wait(timeout=10)
+                results["holder"] = is_grad_enabled()
+
+        def worker():
+            entered.wait(timeout=10)
+            results["worker"] = (a * 2).requires_grad
+            computed.wait(timeout=10)
+
+        threads = [threading.Thread(target=holder),
+                   threading.Thread(target=worker)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert results == {"holder": False, "worker": True}
+        assert is_grad_enabled()
 
     def test_deep_chain_backward_is_iterative(self):
         # A long chain would overflow a recursive implementation.

@@ -153,8 +153,8 @@ class TestFallback:
                                       num_workers=4)
         assert np.array_equal(pooled.indices, fallback.indices)
         assert np.array_equal(pooled.scores, fallback.scores)
-        # The fallback must not double-count: the engine charges the merged
-        # cells once, with per-shard counting paused.
+        # The fallback must not double-count: the scan kernels meter
+        # nothing, and the engine charges the merged cells once.
         assert counter.cells == fallback.computed_cells
 
     def test_fallback_reports_no_worker_rss(self, pair, monkeypatch):

@@ -49,6 +49,11 @@ class TestTrainingConfig:
         assert config.epochs == 99
         assert config.iterative
 
+    def test_log_energy_true_is_rejected(self):
+        with pytest.raises(ValueError, match="energy_monitor="):
+            TrainingConfig(log_energy=True)
+        assert TrainingConfig(log_energy=False).log_energy is False
+
 
 class TestPrepareTask:
     def test_shapes_and_dims(self, tiny_pair):

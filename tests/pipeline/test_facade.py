@@ -1,5 +1,7 @@
 """AlignmentPipeline facade: lifecycle, caching, persistence, legacy parity."""
 
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -147,6 +149,47 @@ class TestCaching:
         assert np.array_equal(subset.target_ids, full.target_ids[ids])
         assert np.array_equal(subset.scores, full.scores[ids])
         assert subset.approximate
+
+    def test_rank_rows_charges_its_partial_cells_once(self,
+                                                      restricted_artifact):
+        aligner = Aligner.load(restricted_artifact)
+        ids = np.array([0, 4, 9, 33])
+        states = aligner.decode_states()
+        width = min(7, states[1][0].shape[0])
+        padded = aligner.row_candidates().select_rows(ids).padded(width)
+        with ann_module.flops_counter() as counter:
+            aligner.rank_rows(ids, k=7)
+        assert counter.cells == int(padded.counts.sum()) * len(states[0]) > 0
+
+    def test_concurrent_first_topk_decodes_once(self, restricted_artifact,
+                                                monkeypatch):
+        import repro.pipeline.facade as facade
+
+        original = facade.blockwise_topk
+        calls = []
+
+        def slow_decode(*args, **kwargs):
+            calls.append(1)
+            time.sleep(0.2)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(facade, "blockwise_topk", slow_decode)
+        aligner = Aligner.load(restricted_artifact)
+        tables = [None, None]
+
+        def query(slot):
+            tables[slot] = aligner.topk(7)
+
+        threads = [threading.Thread(target=query, args=(slot,))
+                   for slot in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert len(calls) == 1
+        assert tables[0] is tables[1]
+        assert np.array_equal(tables[0].indices, tables[1].indices)
 
 
 class TestLegacyParity:

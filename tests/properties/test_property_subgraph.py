@@ -80,22 +80,34 @@ class TestFullFanoutEquivalence:
     @SETTINGS
     @given(graph_features_and_seeds())
     def test_gcn_parameter_gradients_match(self, case):
-        """Backward through the seed rows accumulates identical weight grads."""
+        """Backward through the seed rows accumulates identical weight grads.
+
+        Run for the GCN over the normalised adjacency and for the GAT over
+        its attention pattern (a CSR adjacency runs the GAT as one
+        full-neighbourhood layer, so full-graph sparse GAT training takes
+        the same path as a full-fanout view).
+        """
         adjacency, features, seeds, seed = case
         dim = features.shape[1]
         normalized = normalized_adjacency_sparse(adjacency)
+        cases = [
+            (GCN(dim, 2, np.random.default_rng(seed)), normalized,
+             NeighbourSampler(normalized, (None, None))),
+            (GAT(dim, 2, 2, np.random.default_rng(seed)), adjacency,
+             NeighbourSampler(attention_pattern(adjacency), (None, None),
+                              rescale=False)),
+        ]
+        for network, operator, sampler in cases:
+            full = network(Tensor(features), operator)
+            full.index_select(seeds).sum().backward()
+            full_grads = [p.grad.copy() for p in network.parameters()]
+            network.zero_grad()
 
-        gcn = GCN(dim, 2, np.random.default_rng(seed))
-        full = gcn(Tensor(features), normalized)
-        full.index_select(seeds).sum().backward()
-        full_grads = [p.grad.copy() for p in gcn.parameters()]
-        gcn.zero_grad()
-
-        view = NeighbourSampler(normalized, (None, None)).sample(seeds)
-        sub = gcn(Tensor(features[view.input_nodes]), view)
-        sub.sum().backward()
-        for parameter, reference in zip(gcn.parameters(), full_grads):
-            assert np.allclose(parameter.grad, reference, atol=1e-12)
+            view = sampler.sample(seeds)
+            sub = network(Tensor(features[view.input_nodes]), view)
+            sub.sum().backward()
+            for parameter, reference in zip(network.parameters(), full_grads):
+                assert np.allclose(parameter.grad, reference, atol=1e-12)
 
 
 class TestIdMapRoundTrip:
