@@ -1,22 +1,25 @@
-"""Scaling benchmark for the sparse graph backend.
+"""Scaling benchmark for the CSR graph representation.
 
-Demonstrates the headline capability the CSR refactor buys: training
-DESAlign and running Semantic Propagation on a synthetic pair with >= 5,000
-entities per side.  The dense path needs ``O(n²)`` memory per graph matrix
-(~200 MB per float64 matrix at this size, several of which would be live at
-once) and is out of reach; the sparse path keeps every graph operator at
-``O(|E|)``.  A guard patches the dense materialisation entry points so the
-benchmark *fails* if any ``n x n`` dense graph matrix is ever built.
+Demonstrates the headline capability of keeping every graph operator in
+CSR form: training DESAlign and running Semantic Propagation on a synthetic
+pair with >= 5,000 entities per side.  A dense ``n x n`` graph matrix at
+this size takes ~200 MB per float64 copy, several of which would be live
+at once; CSR keeps every graph operator at ``O(|E|)``.  A guard patches
+scipy's sparse densifiers so the benchmark *fails* if any graph matrix with
+more than ``DENSE_GUARD_THRESHOLD`` rows and columns is densified.
 
-A companion check asserts the sparse backend reproduces the dense backend's
-metrics within 1e-6 on the seed-scale experiment grid.
+Two companion checks: the guard trips on a deliberately densified 5k
+matrix, and training on CSR reproduces training on the dense ``n x n``
+formulas (the test oracles) within 1e-6 on the seed-scale experiment grid.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from repro.autograd import no_grad
@@ -27,50 +30,64 @@ from repro.core.task import prepare_task
 from repro.core.trainer import Trainer, TrainingConfig
 from repro.data.synthetic import SyntheticPairConfig, generate_pair
 from repro.experiments import build_task
+from repro.kg import MultiModalKG
 from repro.kg.laplacian import largest_laplacian_eigenvalue
-from repro.kg.sparse import dirichlet_energy_edges
+from repro.kg.sparse import dirichlet_energy_edges, graph_laplacian_sparse
 from repro.nn import AdamW
 
 from conftest import BENCH_SCALE
-from oracles import reference_similarity
+from oracles import dense_graph_formulas, reference_similarity
 
 SCALING_ENTITIES = 5000
 DENSE_GUARD_THRESHOLD = 1000
 
 
+def _densifying_methods() -> list[tuple[type, str]]:
+    """``(class, name)`` of every scipy sparse ``toarray`` / ``todense`` definition.
+
+    Found through the MRO of each public ``scipy.sparse`` class, so the
+    private base classes that actually define them are covered too.
+    """
+    found = []
+    for name in dir(sp):
+        cls = getattr(sp, name)
+        if not isinstance(cls, type):
+            continue
+        for klass in cls.__mro__:
+            for method in ("toarray", "todense"):
+                if method in vars(klass) and (klass, method) not in found:
+                    found.append((klass, method))
+    return found
+
+
 @contextlib.contextmanager
 def forbid_dense_graph_matrices(threshold: int = DENSE_GUARD_THRESHOLD):
-    """Fail the benchmark if a large dense graph matrix is materialised.
+    """Fail the benchmark if a large sparse graph matrix is densified.
 
-    Patches the two dense entry points — ``MultiModalKG.adjacency_matrix``
-    (dense mode) and the ``_as_dense`` densifier inside ``kg.laplacian`` —
-    so any attempt to build an ``n x n`` array for ``n > threshold`` raises.
+    Every graph matrix is CSR, so densifying one goes through a scipy
+    sparse ``toarray`` or ``todense``.  Both are patched on every class
+    that defines them: a matrix with more than ``threshold`` rows and
+    columns raises before its dense array is allocated.
     """
-    from repro.kg import graph as graph_module
-    from repro.kg import laplacian as laplacian_module
+    originals = {(klass, name): vars(klass)[name]
+                 for klass, name in _densifying_methods()}
 
-    original_adjacency = graph_module.MultiModalKG.adjacency_matrix
-    original_as_dense = laplacian_module._as_dense
+    def guarded(original):
+        @functools.wraps(original)
+        def method(self, *args, **kwargs):
+            if len(self.shape) == 2 and min(self.shape) > threshold:
+                raise AssertionError(
+                    f"densified a sparse matrix of shape {self.shape}")
+            return original(self, *args, **kwargs)
+        return method
 
-    def guarded_adjacency(self, weighted=False, sparse=False):
-        if not sparse and self.num_entities > threshold:
-            raise AssertionError(
-                f"dense adjacency materialised for {self.num_entities} entities")
-        return original_adjacency(self, weighted=weighted, sparse=sparse)
-
-    def guarded_as_dense(adjacency):
-        if adjacency.shape[0] > threshold:
-            raise AssertionError(
-                f"densified a graph matrix of size {adjacency.shape}")
-        return original_as_dense(adjacency)
-
-    graph_module.MultiModalKG.adjacency_matrix = guarded_adjacency
-    laplacian_module._as_dense = guarded_as_dense
+    for (klass, name), original in originals.items():
+        setattr(klass, name, guarded(original))
     try:
         yield
     finally:
-        graph_module.MultiModalKG.adjacency_matrix = original_adjacency
-        laplacian_module._as_dense = original_as_dense
+        for (klass, name), original in originals.items():
+            setattr(klass, name, original)
 
 
 def _train_and_propagate_sparse(num_entities: int) -> dict[str, float]:
@@ -79,13 +96,12 @@ def _train_and_propagate_sparse(num_entities: int) -> dict[str, float]:
         num_entities=num_entities, avg_degree=5.0, seed_ratio=0.1,
         seed=7, name="scaling"))
     task = prepare_task(pair, structure_dim=16, relation_dim=24,
-                        attribute_dim=24, backend="sparse")
+                        attribute_dim=24)
     assert sp.issparse(task.source.adjacency)
     assert sp.issparse(task.source.normalized_adjacency)
     assert sp.issparse(task.source.laplacian)
 
-    model = DESAlign(task, DESAlignConfig(hidden_dim=16, gat_layers=1,
-                                          seed=0, backend="sparse"))
+    model = DESAlign(task, DESAlignConfig(hidden_dim=16, gat_layers=1, seed=0))
     optimizer = AdamW(model.parameters(), lr=5e-3)
     source_seed, target_seed = task.seed_arrays()
     losses = []
@@ -144,11 +160,9 @@ def test_scaling_sparse_5000_entities(benchmark):
     assert 0.0 <= report["largest_eigenvalue"] < 2.0 + 1e-9
 
 
-def _seed_scale_metrics(backend: str) -> tuple[dict[str, float], np.ndarray]:
-    scale = BENCH_SCALE.with_overrides(epochs=20, backend=backend)
-    task = build_task("FBDB15K", scale, seed_ratio=0.3)
+def _seed_scale_metrics(task, scale) -> tuple[dict[str, float], np.ndarray]:
     model = DESAlign(task, DESAlignConfig(hidden_dim=scale.hidden_dim,
-                                          seed=scale.seed, backend=backend))
+                                          seed=scale.seed))
     result = Trainer(model, task, TrainingConfig(
         epochs=scale.epochs, eval_every=0, seed=scale.seed)).fit()
     return result.metrics.as_dict(), reference_similarity(*model.decode_states())
@@ -156,8 +170,11 @@ def _seed_scale_metrics(backend: str) -> tuple[dict[str, float], np.ndarray]:
 
 def test_sparse_backend_matches_dense_on_seed_grid(benchmark):
     def compare():
-        dense_metrics, dense_similarity = _seed_scale_metrics("dense")
-        sparse_metrics, sparse_similarity = _seed_scale_metrics("sparse")
+        scale = BENCH_SCALE.with_overrides(epochs=20)
+        task = build_task("FBDB15K", scale, seed_ratio=0.3)
+        with dense_graph_formulas():
+            dense_metrics, dense_similarity = _seed_scale_metrics(task, scale)
+        sparse_metrics, sparse_similarity = _seed_scale_metrics(task, scale)
         return dense_metrics, sparse_metrics, dense_similarity, sparse_similarity
 
     dense_metrics, sparse_metrics, dense_similarity, sparse_similarity = \
@@ -166,3 +183,23 @@ def test_sparse_backend_matches_dense_on_seed_grid(benchmark):
     for key, value in dense_metrics.items():
         assert abs(sparse_metrics[key] - value) < 1e-6, key
     assert np.abs(dense_similarity - sparse_similarity).max() < 1e-6
+
+
+def test_dense_guard_trips_on_densified_5000_entity_matrix():
+    ring = MultiModalKG.from_triples(
+        SCALING_ENTITIES, [(i, 0, (i + 1) % SCALING_ENTITIES)
+                           for i in range(SCALING_ENTITIES)])
+    laplacian = graph_laplacian_sparse(ring.adjacency_matrix())
+    originals = {(klass, name): vars(klass)[name]
+                 for klass, name in _densifying_methods()}
+    with forbid_dense_graph_matrices():
+        for densify in (lambda m: m.toarray(), lambda m: m.todense(),
+                        lambda m: m.tocoo().toarray(), lambda m: m.tocsc().todense()):
+            with pytest.raises(AssertionError, match="densified"):
+                densify(laplacian)
+        # Row blocks and matrices at the threshold stay allowed.
+        assert laplacian[:2].toarray().shape == (2, SCALING_ENTITIES)
+        small = sp.identity(DENSE_GUARD_THRESHOLD, format="csr")
+        assert np.array_equal(small.toarray(), np.eye(DENSE_GUARD_THRESHOLD))
+    assert all(vars(klass)[name] is original
+               for (klass, name), original in originals.items())

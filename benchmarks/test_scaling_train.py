@@ -69,11 +69,10 @@ def _train_sampled(num_entities: int) -> dict[str, float]:
         num_entities=num_entities, avg_degree=5.0, seed_ratio=0.1,
         seed=13, name="train-scaling"))
     task = prepare_task(pair, structure_dim=16, relation_dim=24,
-                        attribute_dim=24, backend="sparse")
+                        attribute_dim=24)
     assert sp.issparse(task.source.adjacency)
 
-    model = DESAlign(task, DESAlignConfig(hidden_dim=16, gat_layers=1,
-                                          seed=0, backend="sparse"))
+    model = DESAlign(task, DESAlignConfig(hidden_dim=16, gat_layers=1, seed=0))
     config = TrainingConfig(epochs=2, eval_every=0, seed=0,
                             sampling="neighbour", fanouts=(8,),
                             batch_size=512, eval_batch_size=4096)
@@ -109,12 +108,12 @@ def test_scaling_train_20000_entities(benchmark):
 
 def _train_both_strategies() -> dict:
     """Train full-graph and full-fanout sampled on the seed-scale grid."""
-    scale = BENCH_SCALE.with_overrides(epochs=20, backend="sparse")
+    scale = BENCH_SCALE.with_overrides(epochs=20)
     task = build_task("FBDB15K", scale, seed_ratio=0.3)
     results = {}
     for sampling in ("full", "neighbour"):
         model = DESAlign(task, DESAlignConfig(hidden_dim=scale.hidden_dim,
-                                              seed=scale.seed, backend="sparse"))
+                                              seed=scale.seed))
         result = Trainer(model, task, TrainingConfig(
             epochs=scale.epochs, eval_every=0, seed=scale.seed,
             sampling=sampling)).fit()

@@ -1,7 +1,7 @@
 """Sparse differentiable primitives: ``spmm`` and segment operations.
 
-These extend the autograd substrate with the three operations the sparse
-graph backend needs:
+These extend the autograd substrate with the three operations CSR graph
+message passing needs:
 
 * :func:`spmm` — multiply a *constant* (sparse or dense) matrix with a
   differentiable :class:`Tensor`; the backward pass multiplies by the
@@ -10,8 +10,8 @@ graph backend needs:
   adjoint of row gathering (``index_select``); together they express
   edge-list message passing;
 * :func:`segment_softmax` — softmax over variable-sized segments of a score
-  vector (one segment per destination node), the sparse counterpart of the
-  masked dense attention softmax.
+  vector (one segment per destination node), the edge-list form of a
+  masked attention softmax.
 
 Each primitive is covered by numerical gradient checks in
 ``tests/autograd/test_sparse_ops.py``.
@@ -32,8 +32,8 @@ def spmm(matrix, x: Tensor) -> Tensor:
 
     ``matrix`` is treated as a constant (no gradient is accumulated for it);
     the backward pass is ``grad_x = matrix.T @ grad_out``.  Accepts a scipy
-    sparse matrix or a plain ndarray, so callers can dispatch on a single
-    code path for both backends.
+    sparse matrix or a plain ndarray (the dense form serves as the
+    reference side of the equivalence tests).
     """
     x = Tensor.ensure(x)
     if sp.issparse(matrix):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, no_grad
+from ..core import rules
 from ..core.config import DEFAULT_ENCODE_BATCH, MODALITY_ORDER
 from ..core.losses import bidirectional_contrastive_loss
 from ..core.model import encode_sampled
@@ -34,14 +35,11 @@ class BaselineConfig:
 
     def __init__(self, hidden_dim: int = 32, temperature: float = 0.1,
                  gnn: str = "gcn", gnn_layers: int = 2, gnn_heads: int = 2,
-                 modalities: tuple[str, ...] = MODALITY_ORDER, seed: int = 0,
-                 backend: str | None = None):
+                 modalities: tuple[str, ...] = MODALITY_ORDER, seed: int = 0):
         if hidden_dim <= 0:
             raise ValueError("hidden_dim must be positive")
         if gnn not in {"gcn", "gat", "none"}:
             raise ValueError("gnn must be one of 'gcn', 'gat', 'none'")
-        if backend not in {None, "dense", "sparse"}:
-            raise ValueError("backend must be None (follow the task), 'dense' or 'sparse'")
         unknown = set(modalities) - set(MODALITY_ORDER)
         if unknown:
             raise ValueError(f"unknown modalities: {sorted(unknown)}")
@@ -52,10 +50,6 @@ class BaselineConfig:
         self.gnn_heads = gnn_heads
         self.modalities = tuple(modalities)
         self.seed = seed
-        #: ``None`` keeps whatever backend the prepared task uses; setting it
-        #: converts the task on model construction (GCN/GAT dispatch on the
-        #: matrix type, so both backends share the code path below).
-        self.backend = backend
 
 
 class ModalBaselineModel(Module):
@@ -66,8 +60,6 @@ class ModalBaselineModel(Module):
     def __init__(self, task: PreparedTask, config: BaselineConfig | None = None):
         super().__init__()
         self.config = config or BaselineConfig()
-        if self.config.backend is not None:
-            task = task.with_backend(self.config.backend)
         self.task = task
         rng = np.random.default_rng(self.config.seed)
         hidden = self.config.hidden_dim
@@ -261,8 +253,7 @@ class ModalBaselineModel(Module):
         :meth:`joint_from_modal` with a GNN channel (GCN-Align, EVA);
         entity-coupled baselines raise from that hook instead.
         """
-        if encode not in {"full", "sampled"}:
-            raise ValueError("encode must be 'full' or 'sampled'")
+        rules.check_encode_method(encode)
         if encode == "sampled":
             batch = encode_batch_size or DEFAULT_ENCODE_BATCH
             source = self.encode_entities_sampled("source", batch_size=batch)

@@ -28,8 +28,7 @@ class GCNAlign(ModalBaselineModel):
             config = BaselineConfig(hidden_dim=config.hidden_dim,
                                     temperature=config.temperature,
                                     gnn="gcn", gnn_layers=config.gnn_layers,
-                                    modalities=("graph",), seed=config.seed,
-                                    backend=config.backend)
+                                    modalities=("graph",), seed=config.seed)
         super().__init__(task, config)
 
     def joint_from_modal(self, modal: dict[str, Tensor]) -> Tensor:

@@ -27,8 +27,7 @@ class PoE(ModalBaselineModel):
         if config.gnn != "none":
             config = BaselineConfig(hidden_dim=config.hidden_dim,
                                     temperature=config.temperature, gnn="none",
-                                    modalities=config.modalities, seed=config.seed,
-                                    backend=config.backend)
+                                    modalities=config.modalities, seed=config.seed)
         super().__init__(task, config)
 
     def joint_embedding(self, side: str) -> Tensor:

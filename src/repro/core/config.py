@@ -46,14 +46,6 @@ class DESAlignConfig:
     use_initial_task_loss, use_previous_modal_loss:
         Toggles for the ``L_task(0)`` and ``L_m(k-1)`` objective terms of
         Eq. 15 (ablation knobs).
-    backend:
-        Graph backend: ``"dense"`` keeps every graph operator as an
-        ``n x n`` array (the original formulation); ``"sparse"`` runs CSR
-        message passing, sparse propagation and edge-wise energies in
-        ``O(|E|)`` memory; ``"auto"`` (the default) follows whatever
-        backend the prepared task already uses, so a sparse task is never
-        silently densified.  Dense and sparse are numerically equivalent;
-        sparse is required beyond a few hundred entities.
     propagation_iters:
         Number of Semantic Propagation rounds ``n_p`` (Fig. 4).
     propagation_average:
@@ -72,7 +64,6 @@ class DESAlignConfig:
     dropout: float = 0.0
     temperature: float = 0.1
     modalities: tuple[str, ...] = MODALITY_ORDER
-    backend: str = "auto"
     use_min_confidence: bool = True
     energy_floor: float = 0.1
     energy_ceiling: float = 2.0
@@ -101,7 +92,6 @@ class DESAlignConfig:
             raise ValueError("at least one modality is required")
         if self.evaluation_embedding not in {"original", "fused"}:
             raise ValueError("evaluation_embedding must be 'original' or 'fused'")
-        rules.check_backend(self.backend, allow_auto=True)
         if not 0.0 < self.temperature:
             raise ValueError("temperature must be positive")
         if self.propagation_iters < 0:

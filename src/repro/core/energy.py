@@ -39,8 +39,8 @@ class EnergySnapshot:
 class EnergyMonitor:
     """Records Dirichlet-energy trajectories of encoder outputs.
 
-    ``laplacian`` may be a dense array or a CSR matrix; the energies are
-    computed through the backend-dispatching :func:`dirichlet_energy`.
+    ``laplacian`` is the task's CSR Laplacian; the energies are computed
+    through :func:`dirichlet_energy` in ``O(|E| d)``.
     """
 
     laplacian: "np.ndarray | object"

@@ -85,8 +85,8 @@ def bidirectional_contrastive_loss(source_embeddings: Tensor,
 def dirichlet_energy_tensor(embeddings: Tensor, laplacian) -> Tensor:
     """Differentiable Dirichlet energy ``tr(Xᵀ Δ X)`` of a batch of embeddings.
 
-    Routed through the :func:`spmm` primitive, so the Laplacian may be a
-    dense array or a CSR matrix (``O(|E| d)``) interchangeably.
+    Routed through the :func:`spmm` primitive over the CSR Laplacian, in
+    ``O(|E| d)``.
     """
     return (embeddings * spmm(laplacian, embeddings)).sum()
 

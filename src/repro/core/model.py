@@ -13,6 +13,7 @@ import numpy as np
 from ..autograd import no_grad
 from ..kg.sampling import NeighbourSampler, SubgraphView, attention_pattern
 from ..nn import Module
+from . import rules
 from .config import DEFAULT_ENCODE_BATCH, DESAlignConfig
 from .encoder import EncoderOutput, MultiModalEncoder
 from .losses import LossBreakdown, MultiModalSemanticLoss
@@ -56,11 +57,6 @@ class DESAlign(Module):
     def __init__(self, task: PreparedTask, config: DESAlignConfig | None = None):
         super().__init__()
         self.config = config or DESAlignConfig()
-        # Honour the configured graph backend: converting here means a task
-        # prepared under either backend can serve a model under either;
-        # "auto" keeps whatever the task was prepared with.
-        if self.config.backend != "auto":
-            task = task.with_backend(self.config.backend)
         self.task = task
         rng = np.random.default_rng(self.config.seed)
         self.encoder = MultiModalEncoder(
@@ -186,8 +182,7 @@ class DESAlign(Module):
     def _evaluation_embeddings(self, encode: str = "full",
                                encode_batch_size: int | None = None
                                ) -> tuple[np.ndarray, np.ndarray]:
-        if encode not in {"full", "sampled"}:
-            raise ValueError("encode must be 'full' or 'sampled'")
+        rules.check_encode_method(encode)
         if encode == "sampled":
             batch = encode_batch_size or DEFAULT_ENCODE_BATCH
             return (self.encode_entities_sampled("source", batch_size=batch),

@@ -9,9 +9,10 @@ round and averaged (Algorithm 1, line 15), which both exploits the varying
 semantic content of each round and protects the consistent entities from
 over-smoothing.
 
-The closed-form solution of Proposition 4 (solving the linear system on the
-missing block) is also provided; it is used as a ground truth in tests and
-as an alternative decoder for small graphs.
+The closed-form solution of Proposition 4 (solving the sparse linear
+system on the missing block) is also provided; it is used as a ground truth
+in tests.  Every graph operator here is CSR, so an Euler step costs
+``O(|E| d)``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from ..kg.laplacian import graph_laplacian, normalized_adjacency
 from ..kg.sparse import graph_laplacian_sparse, normalized_adjacency_sparse
 
 __all__ = ["SemanticPropagation", "PropagationResult", "closed_form_interpolation"]
@@ -57,30 +56,22 @@ def closed_form_interpolation(features: np.ndarray, adjacency,
     """Closed-form minimiser of the Dirichlet energy with boundary conditions.
 
     Proposition 4: with ``Δ`` partitioned into known/unknown blocks, the
-    energy minimiser for the unknown rows solves ``Δ_oo x_o = -Δ_oc x_c``.
-    A dense adjacency is solved with ``np.linalg.solve`` (cubic, small
-    graphs only); a sparse one with a sparse LU factorisation
+    energy minimiser for the unknown rows solves ``Δ_oo x_o = -Δ_oc x_c``,
+    here through a sparse LU factorisation
     (``scipy.sparse.linalg.splu``), which scales to large graphs.
     """
     features = np.asarray(features, dtype=np.float64)
     known = np.asarray(known, dtype=bool)
     if known.all():
         return features.copy()
-    unknown = ~known
     solution = features.copy()
-    if sp.issparse(adjacency):
-        laplacian = graph_laplacian_sparse(adjacency).tocsr()
-        unknown_idx = np.flatnonzero(unknown)
-        known_idx = np.flatnonzero(known)
-        lap_oo = laplacian[unknown_idx][:, unknown_idx].tocsc()
-        lap_oc = laplacian[unknown_idx][:, known_idx]
-        rhs = -np.asarray(lap_oc @ features[known_idx])
-        solution[unknown_idx] = splu(lap_oo).solve(rhs)
-        return solution
-    laplacian = graph_laplacian(adjacency)
-    lap_oo = laplacian[np.ix_(unknown, unknown)]
-    lap_oc = laplacian[np.ix_(unknown, known)]
-    solution[unknown] = np.linalg.solve(lap_oo, -lap_oc @ features[known])
+    laplacian = graph_laplacian_sparse(adjacency)
+    unknown_idx = np.flatnonzero(~known)
+    known_idx = np.flatnonzero(known)
+    lap_oo = laplacian[unknown_idx][:, unknown_idx].tocsc()
+    lap_oc = laplacian[unknown_idx][:, known_idx]
+    rhs = -np.asarray(lap_oc @ features[known_idx])
+    solution[unknown_idx] = splu(lap_oo).solve(rhs)
     return solution
 
 
@@ -115,14 +106,11 @@ class SemanticPropagation:
                            known: np.ndarray | None = None) -> list[np.ndarray]:
         """Run the Euler scheme on one graph, returning every intermediate state.
 
-        A sparse adjacency keeps the propagation matrix in CSR form, so each
-        Euler step costs ``O(|E| d)`` instead of ``O(n² d)``.
+        The propagation matrix is the CSR ``Ã`` of ``adjacency``, so each
+        Euler step costs ``O(|E| d)``.
         """
         features = np.asarray(features, dtype=np.float64)
-        if sp.issparse(adjacency):
-            propagation_matrix = normalized_adjacency_sparse(adjacency)
-        else:
-            propagation_matrix = normalized_adjacency(adjacency)
+        propagation_matrix = normalized_adjacency_sparse(adjacency)
         states = [features.copy()]
         current = features.copy()
         known_mask = None

@@ -173,7 +173,9 @@ def build_model_from_spec(model_spec, task, default_seed: int = 0):
     The spec's ``seed=None`` inherits ``default_seed`` (the pipeline's data
     seed) so one seed drives dataset preparation and model initialisation
     unless the spec pins them apart; list-valued options are converted to
-    tuples because JSON has no tuple type.
+    tuples because JSON has no tuple type.  Saved specs may still carry the
+    removed graph-backend option (``"auto"``, ``"dense"`` or ``"sparse"``);
+    every graph runs as CSR, so that key is dropped here.
     """
     name = model_spec.name
     if name not in MODEL_REGISTRY:
@@ -181,7 +183,8 @@ def build_model_from_spec(model_spec, task, default_seed: int = 0):
     if name not in MODEL_REGISTRY:
         raise KeyError(f"unknown model {name!r}; registered: {sorted(MODEL_REGISTRY)}")
     seed = model_spec.seed if model_spec.seed is not None else default_seed
-    options = {key: _tupled(value) for key, value in model_spec.options.items()}
+    options = {key: _tupled(value) for key, value in model_spec.options.items()
+               if key != "backend"}
     builder = _MODEL_INFO.get(name, {}).get("spec_builder")
     if builder is not None:
         return builder(task, hidden_dim=model_spec.hidden_dim, seed=seed,

@@ -1,7 +1,7 @@
 """Single-source legality rules of the alignment pipeline.
 
-Four PRs of scaling work each added a string switch (``backend``,
-``decode``, ``encode``, ``sampling``, ``candidates``, ``ranking``) and the
+Four PRs of scaling work each added a string switch (``decode``,
+``encode``, ``sampling``, ``candidates``, ``ranking``) and the
 rules about which combinations are coherent ended up re-checked in several
 places — ``TrainingConfig.__post_init__``, the evaluator, the similarity
 engine and the training loops.  This module is now the only place a rule
@@ -16,7 +16,6 @@ from __future__ import annotations
 from .registries import candidate_methods, training_loop_names
 
 __all__ = [
-    "check_backend",
     "check_decode_method",
     "check_encode_method",
     "check_sampling_method",
@@ -33,14 +32,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Per-field vocabulary checks
 # ---------------------------------------------------------------------------
-def check_backend(backend: str, allow_auto: bool = False) -> None:
-    """Graph backend switch: ``"dense" | "sparse"`` (plus optional ``"auto"``)."""
-    allowed = {"dense", "sparse"} | ({"auto"} if allow_auto else set())
-    if backend not in allowed:
-        raise ValueError(
-            f"backend must be one of {sorted(allowed)}, got {backend!r}")
-
-
 def check_decode_method(decode: str) -> None:
     """``"auto"`` and ``"blockwise"`` both name the one streaming decode."""
     if decode == "dense":

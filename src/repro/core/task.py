@@ -5,71 +5,38 @@ DESAlign and every baseline: per-side modal feature matrices with matching
 dimensionalities, normalised adjacency matrices, Laplacians and the
 seed/test index arrays.
 
-Two interchangeable graph backends are supported.  ``backend="dense"``
-materialises ``n x n`` arrays (the original formulation, fine up to a few
-hundred entities); ``backend="sparse"`` keeps every graph operator in CSR
-form so memory stays ``O(|E|)`` and graphs with many thousands of entities
-fit comfortably.  Both backends produce numerically equivalent artefacts
-and every downstream consumer (encoders, propagation, energies) dispatches
-on the matrix type.
+Every graph matrix is CSR, built straight from the relation triples, so
+memory stays ``O(|E|)`` and graphs with many thousands of entities fit
+comfortably; no ``n x n`` array is ever materialised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..data.features import ModalFeatureSet, build_feature_set
 from ..kg.graph import MultiModalKG
-from ..kg.laplacian import graph_laplacian, normalized_adjacency
 from ..kg.pair import KGPair
 from ..kg.sparse import graph_laplacian_sparse, normalized_adjacency_sparse
-from .rules import check_backend
 
 __all__ = ["PreparedSide", "PreparedTask", "prepare_task", "prepare_side"]
 
 
 @dataclass
 class PreparedSide:
-    """Graph artefacts for one side (source or target) of the task.
-
-    The three matrices are dense ``np.ndarray`` under the dense backend and
-    ``scipy.sparse.csr_matrix`` under the sparse one.
-    """
+    """Graph artefacts for one side (source or target) of the task."""
 
     features: ModalFeatureSet
-    adjacency: np.ndarray | sp.csr_matrix
-    normalized_adjacency: np.ndarray | sp.csr_matrix
-    laplacian: np.ndarray | sp.csr_matrix
-    backend: str = "dense"
+    adjacency: sp.csr_matrix
+    normalized_adjacency: sp.csr_matrix
+    laplacian: sp.csr_matrix
 
     @property
     def num_entities(self) -> int:
         return self.adjacency.shape[0]
-
-    def with_backend(self, backend: str) -> "PreparedSide":
-        """Return this side converted to ``backend`` (no-op when it matches).
-
-        Conversion is a pure storage-format change — the matrix values are
-        preserved exactly, so dense and sparse runs stay bit-comparable.
-        """
-        check_backend(backend)
-        if backend == self.backend:
-            return self
-        if backend == "sparse":
-            convert = sp.csr_matrix
-        else:
-            def convert(matrix):
-                return matrix.toarray()
-        return PreparedSide(
-            features=self.features,
-            adjacency=convert(self.adjacency),
-            normalized_adjacency=convert(self.normalized_adjacency),
-            laplacian=convert(self.laplacian),
-            backend=backend,
-        )
 
 
 @dataclass
@@ -87,20 +54,6 @@ class PreparedTask:
     def name(self) -> str:
         return self.pair.name
 
-    @property
-    def backend(self) -> str:
-        """The graph backend both sides were prepared with."""
-        return self.source.backend
-
-    def with_backend(self, backend: str) -> "PreparedTask":
-        """Return the task with both sides converted to ``backend``."""
-        check_backend(backend)
-        if backend == self.backend:
-            return self
-        return replace(self,
-                       source=self.source.with_backend(backend),
-                       target=self.target.with_backend(backend))
-
     def seed_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Source and target index arrays of the seed alignments."""
         return self.train_pairs[:, 0], self.train_pairs[:, 1]
@@ -110,23 +63,12 @@ class PreparedTask:
         return self.test_pairs[:, 0], self.test_pairs[:, 1]
 
 
-def prepare_side(graph: MultiModalKG, features: ModalFeatureSet,
-                 backend: str) -> PreparedSide:
-    """One side's matrices (row ``i`` is entity ``i``) around its features.
-
-    ``backend="sparse"`` builds them as CSR straight from the triples.
-    """
-    if backend == "sparse":
-        adjacency = graph.adjacency_matrix(sparse=True)
-        normalized = normalized_adjacency_sparse(adjacency)
-        laplacian = graph_laplacian_sparse(adjacency)
-    else:
-        adjacency = graph.adjacency_matrix()
-        normalized = normalized_adjacency(adjacency)
-        laplacian = graph_laplacian(adjacency)
+def prepare_side(graph: MultiModalKG, features: ModalFeatureSet) -> PreparedSide:
+    """One side's CSR matrices (row ``i`` is entity ``i``) around its features."""
+    adjacency = graph.adjacency_matrix()
     return PreparedSide(features=features, adjacency=adjacency,
-                        normalized_adjacency=normalized,
-                        laplacian=laplacian, backend=backend)
+                        normalized_adjacency=normalized_adjacency_sparse(adjacency),
+                        laplacian=graph_laplacian_sparse(adjacency))
 
 
 def prepare_task(pair: KGPair,
@@ -135,8 +77,7 @@ def prepare_task(pair: KGPair,
                  vision_dim: int | None = None,
                  structure_dim: int = 32,
                  imputation: str = "random_from_distribution",
-                 seed: int = 0,
-                 backend: str = "dense") -> PreparedTask:
+                 seed: int = 0) -> PreparedTask:
     """Prepare a :class:`KGPair` for training.
 
     Feature dimensionalities are shared between the two graphs (relations
@@ -144,7 +85,6 @@ def prepare_task(pair: KGPair,
     vectors, Sec. V-A(4)) so a single encoder can process both sides; each
     side's matrices come from :func:`prepare_side`.
     """
-    check_backend(backend)
     rng = np.random.default_rng(seed)
     if vision_dim is None:
         dims = []
@@ -164,7 +104,7 @@ def prepare_task(pair: KGPair,
             structure_dim=structure_dim,
             imputation=imputation,
         )
-        sides[key] = prepare_side(graph, features, backend)
+        sides[key] = prepare_side(graph, features)
 
     train, test = pair.split(np.random.default_rng(seed + 1))
     train_pairs = np.asarray([[p.source, p.target] for p in train], dtype=np.int64)

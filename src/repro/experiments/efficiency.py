@@ -300,8 +300,7 @@ def _training_pipeline(task, sampling: str, fanouts):
     Uses the Trainer engine directly: the profiler wants no facade layers
     between the timer and the loop.
     """
-    model = DESAlign(task, DESAlignConfig(hidden_dim=16, gat_layers=2,
-                                          seed=0, backend="sparse"))
+    model = DESAlign(task, DESAlignConfig(hidden_dim=16, gat_layers=2, seed=0))
     config = TrainingConfig(epochs=2, eval_every=0, seed=0, batch_size=256,
                             sampling=sampling, fanouts=fanouts)
     return Trainer(model, task, config).fit()
@@ -314,7 +313,7 @@ def _profile_training_paths(result: ExperimentResult,
         num_entities=num_entities, avg_degree=5.0, seed_ratio=0.2,
         seed=5, name="train-scaling"))
     task = prepare_task(pair, structure_dim=16, relation_dim=24,
-                        attribute_dim=24, backend="sparse")
+                        attribute_dim=24)
     for label, sampling, fanouts in (("train-full", "full", None),
                                      ("train-neighbour", "neighbour", (4, 4))):
         inner, seconds, peak_mb, rss_mb = measure_peak_memory(
@@ -404,6 +403,6 @@ def run_efficiency(scale: ExperimentScale = QUICK_SCALE,
                                       num_entities)
 
     # Training-path comparison: full-graph vs neighbour-sampled mini-batches
-    # on a sparse pair beyond the dense backend's comfort zone.
+    # on a pair large enough for the sampled receptive fields to pay off.
     _profile_training_paths(result, train_entities)
     return result

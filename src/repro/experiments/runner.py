@@ -35,13 +35,7 @@ BASIC_MODELS = ("TransE", "GCN-align", "PoE", "EVA", "MCLEA", "MEAformer", "DESA
 
 @dataclass(frozen=True)
 class ExperimentScale:
-    """Knobs controlling how expensive an experiment run is.
-
-    ``backend`` selects the graph backend the tasks and models run on:
-    ``"dense"`` reproduces the original ``n x n`` formulation, ``"sparse"``
-    runs CSR message passing / propagation and is required for grids beyond
-    a few hundred entities.
-    """
+    """Knobs controlling how expensive an experiment run is."""
 
     num_entities: int = 100
     epochs: int = 60
@@ -50,7 +44,6 @@ class ExperimentScale:
     hidden_dim: int = 32
     eval_every: int = 0
     seed: int = 0
-    backend: str = "dense"
 
     def with_overrides(self, **kwargs) -> "ExperimentScale":
         return replace(self, **kwargs)
@@ -64,8 +57,7 @@ class ExperimentScale:
         """The ``data`` section of a spec run at this scale."""
         return DataSpec(dataset=dataset, num_entities=self.num_entities,
                         seed_ratio=seed_ratio, image_ratio=image_ratio,
-                        text_ratio=text_ratio, backend=self.backend,
-                        seed=self.seed)
+                        text_ratio=text_ratio, seed=self.seed)
 
     def training_config(self, iterative: bool = False) -> TrainingConfig:
         """The ``training`` section of a spec run at this scale."""
@@ -100,9 +92,7 @@ def _model_spec(model_name: str, scale: ExperimentScale,
 
     A ``config=`` entry (a :class:`~repro.core.config.DESAlignConfig` or
     :class:`~repro.baselines.BaselineConfig`) is flattened into spec
-    options; remaining kwargs pass through as options directly.  Without an
-    explicit config, DESAlign follows the scale's backend (the other models
-    follow the prepared task).
+    options; remaining kwargs pass through as options directly.
     """
     options = dict(model_kwargs or {})
     hidden_dim = scale.hidden_dim
@@ -113,8 +103,6 @@ def _model_spec(model_name: str, scale: ExperimentScale,
         hidden_dim = flattened.pop("hidden_dim", hidden_dim)
         seed = flattened.pop("seed", seed)
         options.update(flattened)
-    elif model_name == "DESAlign":
-        options.setdefault("backend", scale.backend)
     hidden_dim = options.pop("hidden_dim", hidden_dim)
     seed = options.pop("seed", seed)
     return ModelSpec(name=model_name, hidden_dim=hidden_dim, seed=seed,
@@ -148,7 +136,7 @@ def train_model(model_name: str, task: PreparedTask, scale: ExperimentScale,
         training = training.with_overrides(**training_overrides)
     spec = PipelineSpec(
         data=DataSpec(dataset="custom", num_entities=scale.num_entities,
-                      backend=task.backend, seed=scale.seed),
+                      seed=scale.seed),
         model=_model_spec(model_name, scale, model_kwargs),
         training=training,
     )

@@ -219,7 +219,7 @@ class IncrementalAligner:
         app = apply_delta(self.task, delta, seed=seed)
         new_task = app.task
         self._extend_parameters(app, seed)
-        self.model.task = new_task.with_backend(self.model.task.backend)
+        self.model.task = new_task
         self.model._eval_samplers = {}
 
         # Warm encode: scatter-update the raw evaluation embeddings over
@@ -312,14 +312,13 @@ class IncrementalAligner:
             table = np.asarray(old.data, dtype=np.float64)
             prepared = (app.task.source if side == "source"
                         else app.task.target)
-            adjacency = prepared.adjacency
+            indptr, indices = prepared.adjacency.indptr, prepared.adjacency.indices
             fresh = np.empty((len(new_ids), table.shape[1]))
             for offset, entity in enumerate(new_ids):
-                row = adjacency[int(entity)]
-                if hasattr(row, "toarray"):   # sparse backend
-                    row = row.toarray()
-                neighbours = np.flatnonzero(
-                    np.asarray(row).ravel()[:num_old])
+                # CSR column indices are sorted, so the mean sums the old
+                # neighbours in ascending id order.
+                neighbours = indices[indptr[entity]:indptr[entity + 1]]
+                neighbours = neighbours[neighbours < num_old]
                 if len(neighbours):
                     fresh[offset] = table[neighbours].mean(axis=0)
                 else:

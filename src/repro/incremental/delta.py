@@ -337,8 +337,8 @@ def apply_delta(task: PreparedTask, delta: DeltaBatch,
 
     new_task = PreparedTask(
         pair=new_pair,
-        source=prepare_side(source_graph, source_features, task.backend),
-        target=prepare_side(target_graph, target_features, task.backend),
+        source=prepare_side(source_graph, source_features),
+        target=prepare_side(target_graph, target_features),
         train_pairs=np.asarray(train_pairs, dtype=np.int64),
         test_pairs=task.test_pairs,
         feature_dims=dict(task.feature_dims),

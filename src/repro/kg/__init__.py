@@ -3,10 +3,7 @@
 from .graph import MultiModalKG, RelationTriple, AttributeTriple, MODALITIES
 from .pair import KGPair, AlignmentPair
 from .laplacian import (
-    normalized_adjacency,
-    graph_laplacian,
     dirichlet_energy,
-    dirichlet_energy_pairwise,
     energy_gap_bounds,
     layer_energy_bounds,
     partition_laplacian,
@@ -31,10 +28,7 @@ __all__ = [
     "MODALITIES",
     "KGPair",
     "AlignmentPair",
-    "normalized_adjacency",
-    "graph_laplacian",
     "dirichlet_energy",
-    "dirichlet_energy_pairwise",
     "energy_gap_bounds",
     "layer_energy_bounds",
     "partition_laplacian",

@@ -140,30 +140,18 @@ class MultiModalKG:
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
-    def adjacency_matrix(self, weighted: bool = False,
-                         sparse: bool = False) -> np.ndarray | sp.csr_matrix:
-        """Symmetric adjacency matrix induced by the relation triples.
+    def adjacency_matrix(self, weighted: bool = False) -> sp.csr_matrix:
+        """CSR symmetric adjacency matrix induced by the relation triples.
 
         When ``weighted`` the entry counts parallel edges, otherwise it is
         binary.  The graph is treated as undirected, as assumed throughout
-        the paper's Dirichlet-energy analysis.  With ``sparse`` a CSR matrix
-        is returned and no ``n x n`` dense array is ever materialised, which
-        is the required form for graphs beyond a few hundred entities.
+        the paper's Dirichlet-energy analysis; no ``n x n`` dense array is
+        ever materialised.
         """
         from .sparse import adjacency_from_triples
 
-        if sparse:
-            return adjacency_from_triples(self.num_entities, self.relation_triples,
-                                          weighted=weighted)
-        adjacency = np.zeros((self.num_entities, self.num_entities))
-        for triple in self.relation_triples:
-            if triple.head == triple.tail:
-                continue
-            adjacency[triple.head, triple.tail] += 1.0
-            adjacency[triple.tail, triple.head] += 1.0
-        if not weighted:
-            adjacency = (adjacency > 0).astype(np.float64)
-        return adjacency
+        return adjacency_from_triples(self.num_entities, self.relation_triples,
+                                      weighted=weighted)
 
     def neighbours(self, entity: int) -> set[int]:
         """Entities sharing a relation triple with ``entity``."""

@@ -1,22 +1,21 @@
-"""Spectral graph utilities: normalised adjacency, Laplacian and Dirichlet energy.
+"""Spectral graph utilities: Dirichlet energy and the paper's energy bounds.
 
-These implement the quantities of the paper's preliminaries (Sec. II):
-``Ã = D^{-1/2} A D^{-1/2}``, ``Δ = I - Ã`` and the Dirichlet energy
-``E(X) = tr(Xᵀ Δ X)`` of Definition 3, together with the partitioned views
-(consistent / count-inconsistent / modality-missing entities, Eq. 2) used by
-Semantic Propagation.
+These implement the quantities of the paper's preliminaries (Sec. II) on
+the CSR operators of :mod:`repro.kg.sparse` (``Ã = D^{-1/2} A D^{-1/2}``
+and ``Δ = I - Ã``): the Dirichlet energy ``E(X) = tr(Xᵀ Δ X)`` of
+Definition 3, the bounds of Corollary 1 and Proposition 2, and the
+partitioned views (consistent / count-inconsistent / modality-missing
+entities, Eq. 2) used by Semantic Propagation.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
+
+from .sparse import _as_csr, largest_eigenvalue
 
 __all__ = [
-    "normalized_adjacency",
-    "graph_laplacian",
     "dirichlet_energy",
-    "dirichlet_energy_pairwise",
     "energy_gap_bounds",
     "layer_energy_bounds",
     "partition_laplacian",
@@ -24,87 +23,17 @@ __all__ = [
 ]
 
 
-def _as_dense(adjacency) -> np.ndarray:
-    """Densify small inputs for the dense reference implementations.
-
-    The sparse-first pipeline never calls this on large graphs: sparse
-    inputs to the energy/eigenvalue helpers below are routed through
-    :mod:`repro.kg.sparse` instead of being densified.
-    """
-    if sp.issparse(adjacency):
-        return np.asarray(adjacency.todense(), dtype=np.float64)
-    return np.asarray(adjacency, dtype=np.float64)
-
-
-def normalized_adjacency(adjacency, add_self_loops: bool = True) -> np.ndarray:
-    """Symmetric normalisation ``D^{-1/2} (A [+ I]) D^{-1/2}``.
-
-    Adding self-loops (the default) matches the ``D + 1`` degree shift in
-    the paper's Definition 3 and keeps isolated entities well defined — such
-    entities are common in the high-missing-modality splits.
-    """
-    from .sparse import _inverse_sqrt_degrees
-
-    dense = _as_dense(adjacency)
-    if dense.shape[0] != dense.shape[1]:
-        raise ValueError("adjacency must be square")
-    if add_self_loops:
-        dense = dense + np.eye(dense.shape[0])
-    # Shared with the sparse backend so the degree guard stays bit-identical
-    # across the two implementations (the parity tests assert atol=1e-15).
-    inv_sqrt = _inverse_sqrt_degrees(dense.sum(axis=1))
-    return dense * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
-def graph_laplacian(adjacency, add_self_loops: bool = True) -> np.ndarray:
-    """Normalised graph Laplacian ``Δ = I - Ã`` (positive semi-definite)."""
-    normalised = normalized_adjacency(adjacency, add_self_loops=add_self_loops)
-    return np.eye(normalised.shape[0]) - normalised
-
-
 def dirichlet_energy(features: np.ndarray, laplacian) -> float:
-    """Dirichlet energy ``tr(Xᵀ Δ X)`` of Definition 3 (trace form).
+    """Dirichlet energy ``tr(Xᵀ Δ X)`` of Definition 3.
 
-    Accepts a dense or CSR Laplacian; the sparse path evaluates the
-    equivalent ``Σ_ij x_ij (Δ x)_ij`` in ``O(|E| d)`` without densifying.
+    Evaluated as ``Σ_ij x_ij (Δ x)_ij`` in ``O(|E| d)`` on a CSR Laplacian.
+    The pairwise form of the same definition is
+    :func:`repro.kg.sparse.dirichlet_energy_edges`.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
         features = features[:, None]
-    if sp.issparse(laplacian):
-        return float(np.sum(features * np.asarray(laplacian @ features)))
-    return float(np.trace(features.T @ laplacian @ features))
-
-
-def dirichlet_energy_pairwise(features: np.ndarray, adjacency,
-                              add_self_loops: bool = True) -> float:
-    """Dirichlet energy in the pairwise form of Definition 3.
-
-    ``1/2 Σ_ij a_ij || x_i / sqrt(d_i) - x_j / sqrt(d_j) ||²`` with degrees
-    taken after the optional self-loop shift; equals the trace form for the
-    same Laplacian (verified by property-based tests).  A sparse adjacency
-    is summed edge-wise in ``O(|E| d)`` instead of building the full
-    ``n x n`` pairwise-distance matrix.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 1:
-        features = features[:, None]
-    if sp.issparse(adjacency):
-        from .sparse import dirichlet_energy_edges
-        return dirichlet_energy_edges(features, adjacency, add_self_loops=add_self_loops)
-    dense = _as_dense(adjacency)
-    if add_self_loops:
-        dense_with_loops = dense + np.eye(dense.shape[0])
-    else:
-        dense_with_loops = dense
-    from .sparse import _inverse_sqrt_degrees
-    inv_sqrt = _inverse_sqrt_degrees(dense_with_loops.sum(axis=1))
-    scaled = features * inv_sqrt[:, None]
-    # ||s_i - s_j||^2 = ||s_i||^2 + ||s_j||^2 - 2 s_i.s_j, summed with weights a_ij.
-    squared_norms = np.sum(scaled ** 2, axis=1)
-    cross = scaled @ scaled.T
-    pairwise = squared_norms[:, None] + squared_norms[None, :] - 2.0 * cross
-    return float(0.5 * np.sum(dense_with_loops * pairwise))
+    return float(np.sum(features * np.asarray(laplacian @ features)))
 
 
 def largest_laplacian_eigenvalue(laplacian) -> float:
@@ -112,15 +41,13 @@ def largest_laplacian_eigenvalue(laplacian) -> float:
 
     Tiny graphs use exact dense ``eigvalsh``; anything larger uses Lanczos
     ``eigsh(k=1)`` (with a power-iteration fallback), which avoids the
-    ``O(n³)`` full eigendecomposition and works on sparse Laplacians.
+    ``O(n³)`` full eigendecomposition.
     """
-    from .sparse import largest_eigenvalue
-
     return largest_eigenvalue(laplacian)
 
 
 def energy_gap_bounds(original: np.ndarray, modified: np.ndarray,
-                      laplacian: np.ndarray) -> tuple[float, float, float]:
+                      laplacian) -> tuple[float, float, float]:
     """Bounds of Corollary 1 on ``||X̂ - X||₂`` from the Dirichlet-energy gap.
 
     Returns ``(lower, distance, upper)`` where ``distance`` is the Frobenius
@@ -152,11 +79,11 @@ def layer_energy_bounds(weight: np.ndarray, previous_energy: float) -> tuple[flo
     return p_min * previous_energy, p_max * previous_energy
 
 
-def partition_laplacian(laplacian: np.ndarray,
+def partition_laplacian(laplacian,
                         consistent: np.ndarray,
                         count_inconsistent: np.ndarray,
-                        missing: np.ndarray) -> dict[str, np.ndarray]:
-    """Partition ``Δ`` into the blocks of Eq. 2 / Eq. 18.
+                        missing: np.ndarray) -> dict:
+    """Partition ``Δ`` into the CSR blocks of Eq. 2 / Eq. 18.
 
     ``consistent``, ``count_inconsistent`` and ``missing`` are index arrays
     for ``E_c``, ``E_{o1}`` and ``E_{o2}``; they must be disjoint and cover
@@ -169,13 +96,8 @@ def partition_laplacian(laplacian: np.ndarray,
     union = np.concatenate([consistent, count_inconsistent, missing])
     if len(np.unique(union)) != laplacian.shape[0] or len(union) != laplacian.shape[0]:
         raise ValueError("partition must be disjoint and cover every node")
-    blocks: dict[str, np.ndarray] = {}
+    matrix = _as_csr(laplacian)
     index = {"c": consistent, "o1": count_inconsistent, "o2": missing}
-    sparse_laplacian = laplacian.tocsr() if sp.issparse(laplacian) else None
-    for row_key, rows in index.items():
-        for col_key, cols in index.items():
-            if sparse_laplacian is not None:
-                blocks[f"{row_key}{col_key}"] = sparse_laplacian[rows][:, cols]
-            else:
-                blocks[f"{row_key}{col_key}"] = laplacian[np.ix_(rows, cols)]
-    return blocks
+    return {f"{row_key}{col_key}": matrix[rows][:, cols]
+            for row_key, rows in index.items()
+            for col_key, cols in index.items()}

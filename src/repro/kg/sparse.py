@@ -1,9 +1,7 @@
-"""Sparse-first graph operators: CSR adjacency, normalisation and spectra.
+"""CSR graph operators: adjacency, normalisation and spectra.
 
-The dense helpers in :mod:`repro.kg.laplacian` materialise ``n x n`` arrays,
-which caps experiments at a few hundred entities.  This module provides the
-same quantities as CSR operations whose cost is ``O(|E|)`` in memory and
-``O(|E| * d)`` in time:
+Every graph quantity of the pipeline is computed here as a CSR operation
+whose cost is ``O(|E|)`` in memory and ``O(|E| * d)`` in time:
 
 * CSR adjacency construction straight from relation triples (no dense
   intermediate), plus degree computation without any adjacency at all;
@@ -15,9 +13,8 @@ same quantities as CSR operations whose cost is ``O(|E|)`` in memory and
   dense fallback for tiny graphs and a power-iteration fallback when the
   Lanczos iteration does not converge.
 
-Every function is numerically equivalent to its dense counterpart (the
-property tests in ``tests/properties`` assert this), so the two backends can
-be swapped behind the same API.
+The equivalence tests check every operator against the paper's dense
+``n x n`` formulas in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -57,9 +54,9 @@ def adjacency_from_triples(num_entities: int, triples: Iterable,
                            weighted: bool = False) -> sp.csr_matrix:
     """CSR symmetric adjacency induced by relation triples.
 
-    Matches ``MultiModalKG.adjacency_matrix`` exactly: undirected, self-loops
-    dropped, entries count parallel edges when ``weighted`` and are binary
-    otherwise — but never touches an ``n x n`` dense array.
+    Undirected, self-loops dropped, entries count parallel edges when
+    ``weighted`` and are binary otherwise; never touches an ``n x n`` dense
+    array.  ``MultiModalKG.adjacency_matrix`` returns this.
     """
     heads, tails = _triple_endpoints(list(triples))
     rows = np.concatenate([heads, tails])
@@ -105,8 +102,10 @@ def _as_csr(adjacency) -> sp.csr_matrix:
 def normalized_adjacency_sparse(adjacency, add_self_loops: bool = True) -> sp.csr_matrix:
     """Sparse symmetric normalisation ``D^{-1/2} (A [+ I]) D^{-1/2}``.
 
-    Value-equivalent to :func:`repro.kg.laplacian.normalized_adjacency`; the
-    result stays CSR with ``O(|E|)`` non-zeros.
+    Adding self-loops (the default) matches the ``D + 1`` degree shift in
+    the paper's Definition 3 and keeps isolated entities well defined — such
+    entities are common in the high-missing-modality splits.  The result
+    stays CSR with ``O(|E|)`` non-zeros.
     """
     matrix = _as_csr(adjacency)
     if matrix.shape[0] != matrix.shape[1]:
@@ -132,7 +131,8 @@ def dirichlet_energy_edges(features: np.ndarray, adjacency,
     ``1/2 sum_ij a_ij || x_i / sqrt(d_i) - x_j / sqrt(d_j) ||^2`` with degrees
     taken after the optional self-loop shift.  Self-loop terms vanish, so
     only the off-diagonal edges are visited — no ``n x n`` pairwise-distance
-    matrix is ever built (unlike ``dirichlet_energy_pairwise``'s dense path).
+    matrix is ever built.  Equals the trace form
+    :func:`repro.kg.laplacian.dirichlet_energy` for the same Laplacian.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:

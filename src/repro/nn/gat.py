@@ -2,33 +2,27 @@
 
 DESAlign (Sec. IV-A(1)) encodes the graph structure of each MMKG with a GAT
 (Velickovic et al., 2018) of two layers and two attention heads, combined
-with a diagonal linear transform.  Two numerically equivalent formulations
-are provided and selected by the adjacency type:
+with a diagonal linear transform.  Attention runs over edge lists: per-edge
+logits, a segment softmax over each destination's neighbourhood and a
+scatter-add aggregation through the sparse autograd primitives, in
+``O(|E| d)``.  Each layer of a sampled
+:class:`~repro.kg.sampling.SubgraphView` attends from a shrinking
+destination set; any other adjacency (a CSR graph matrix) runs as one
+full-neighbourhood :class:`~repro.kg.sampling.SubgraphLayer` over its
+self-looped edge list.
 
-* **dense** (``np.ndarray``): attention logits are computed for every pair
-  and masked with the adjacency matrix — simple, but ``O(n²)`` in time and
-  memory, viable only for small graphs;
-* **edge-list** (a :class:`~repro.kg.sampling.SubgraphLayer`): per-edge
-  logits with a segment softmax over each destination's neighbourhood and
-  a scatter-add aggregation through the sparse autograd primitives —
-  ``O(|E| d)``.  Each layer of a sampled
-  :class:`~repro.kg.sampling.SubgraphView` attends from a shrinking
-  destination set; a scipy sparse adjacency (``backend="sparse"``) runs
-  as one full-neighbourhood layer over its self-looped edge list.
-
-The two softmaxes agree exactly (masked entries underflow to zero), which
-the equivalence tests assert on the forward values and the parameter
-gradients.  A full-neighbourhood view reproduces the full-graph forward on
-its seed rows (segment reductions in identical order; the dense weight
-products match to the last ulp).
+The equivalence tests check the forward values and the parameter
+gradients against the masked-dense softmax formulation.  A
+full-neighbourhood view reproduces the full-graph forward on its seed rows
+(segment reductions in identical order; the dense weight products match to
+the last ulp).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..autograd import Tensor, softmax, segment_softmax, segment_sum
+from ..autograd import Tensor, segment_softmax, segment_sum
 from ..kg.sampling import SubgraphLayer, SubgraphView
 from ..kg.sparse import edge_index
 from . import init
@@ -36,8 +30,6 @@ from .module import Module, ModuleList, Parameter
 from .layers import DiagonalLinear
 
 __all__ = ["GATLayer", "GAT"]
-
-_MASK_VALUE = -1e9
 
 
 def _full_neighbourhood_layer(adjacency) -> SubgraphLayer:
@@ -50,7 +42,7 @@ def _full_neighbourhood_layer(adjacency) -> SubgraphLayer:
 
 
 class GATLayer(Module):
-    """Single multi-head graph attention layer (dense or edge-list).
+    """Single multi-head edge-list graph attention layer.
 
     Parameters
     ----------
@@ -88,29 +80,13 @@ class GATLayer(Module):
     def forward(self, features: Tensor, adjacency) -> Tensor:
         """Run attention over ``adjacency`` (self-loops are added).
 
-        A dense array keeps the original masked-dense formulation; a
-        :class:`SubgraphLayer` runs the edge-list one (``features`` covering
-        the layer's input nodes, the result its output nodes), and a scipy
-        sparse adjacency runs as its full-neighbourhood layer.
+        A :class:`SubgraphLayer` maps its input nodes' ``features`` to its
+        output nodes' rows; any other adjacency runs as its
+        full-neighbourhood layer.
         """
-        if sp.issparse(adjacency):
+        if not isinstance(adjacency, SubgraphLayer):
             adjacency = _full_neighbourhood_layer(adjacency)
-        if isinstance(adjacency, SubgraphLayer):
-            return self._forward_layer(features, adjacency)
-        return self._forward_dense(features, adjacency)
-
-    def _forward_dense(self, features: Tensor, adjacency: np.ndarray) -> Tensor:
-        mask = (np.asarray(adjacency) > 0) | np.eye(adjacency.shape[0], dtype=bool)
-        bias = np.where(mask, 0.0, _MASK_VALUE)
-        outputs = []
-        for head in range(self.num_heads):
-            transformed = features @ self._head_weight(head)
-            logits_src = transformed @ self._attn_src[head]          # (N, 1)
-            logits_dst = transformed @ self._attn_dst[head]          # (N, 1)
-            logits = (logits_src + logits_dst.T).leaky_relu(self.negative_slope)
-            attention = softmax(logits + Tensor(bias), axis=-1)
-            outputs.append(attention @ transformed)
-        return Tensor.concat(outputs, axis=-1)
+        return self._forward_layer(features, adjacency)
 
     def _forward_layer(self, features: Tensor, layer: SubgraphLayer) -> Tensor:
         """Edge-list attention: input-node features in, output-node rows out.
@@ -164,10 +140,8 @@ class GAT(Module):
                     f"subgraph view has {adjacency.num_layers} layers but the "
                     f"GAT has {len(self.layers)}")
             operators: list = list(adjacency.layers)
-        elif sp.issparse(adjacency):
-            operators = [_full_neighbourhood_layer(adjacency)] * len(self.layers)
         else:
-            operators = [adjacency] * len(self.layers)
+            operators = [_full_neighbourhood_layer(adjacency)] * len(self.layers)
         hidden = self.diagonal(features)
         for index, (layer, operator) in enumerate(zip(self.layers, operators)):
             hidden = layer(hidden, operator)

@@ -3,8 +3,7 @@
 Used by the structure channels of several baselines (GCN-Align, EVA):
 ``H' = σ(Ã H W)`` over the symmetrically-normalised adjacency with
 self-loops.  The propagation step goes through the :func:`spmm` autograd
-primitive, so ``Ã`` may be a dense array or a CSR matrix — the sparse form
-runs in ``O(|E| d)`` and is what the ``backend="sparse"`` pipeline feeds in.
+primitive over the task's CSR ``Ã``, in ``O(|E| d)``.
 
 A :class:`~repro.kg.sampling.SubgraphView` may be passed in place of the
 adjacency for mini-batch training: each layer then multiplies by its
@@ -28,7 +27,7 @@ __all__ = ["GCNLayer", "GCN"]
 
 
 class GCNLayer(Module):
-    """Single graph convolution ``Ã X W + b`` (dense or sparse ``Ã``)."""
+    """Single graph convolution ``Ã X W + b``."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
                  bias: bool = True):

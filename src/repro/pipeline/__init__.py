@@ -1,7 +1,7 @@
 """Declarative pipeline API: specs, registries, facade and artifacts.
 
 The one-stop entry point for composing everything the scaling PRs built —
-graph backends, blockwise decoding, neighbour-sampled training, candidate
+CSR graph operators, blockwise decoding, neighbour-sampled training, candidate
 generation — without threading a dozen keyword arguments by hand:
 
 .. code-block:: python

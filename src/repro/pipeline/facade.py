@@ -1,8 +1,8 @@
 """The :class:`AlignmentPipeline` facade and its fitted :class:`Aligner` handle.
 
 This is the stable, declarative entry point over the engines the previous
-PRs built (sparse backends, blockwise decoding, neighbour-sampled training,
-IVF/LSH candidate generation):
+PRs built (CSR graph operators, blockwise decoding, neighbour-sampled
+training, IVF/LSH candidate generation):
 
 .. code-block:: python
 
@@ -139,9 +139,8 @@ class AlignmentPipeline:
         """Materialise and prepare the task the spec's ``data`` section names.
 
         An explicit ``pair`` overrides the benchmark preset: a ``KGPair``
-        is prepared under the spec's backend/seed, a ``PreparedTask`` is
-        used as-is (the model follows its backend unless the spec pins
-        one).
+        is prepared under the spec's seed, a ``PreparedTask`` is used
+        as-is.
 
         The spec's ``perturbation`` section is applied here, exactly once
         — graph-level corruptions before preparation, task-level ones
@@ -170,7 +169,7 @@ class AlignmentPipeline:
         if not perturbation.is_noop():
             pair = perturb_pair(pair, perturbation)
         task = prepare_task(pair, structure_dim=self.spec.model.hidden_dim,
-                            seed=data.seed, backend=data.backend)
+                            seed=data.seed)
         if not perturbation.is_noop():
             task = perturb_task(task, perturbation)
         return task

@@ -3,8 +3,8 @@
 A :class:`PipelineSpec` composes the four concerns a full alignment run
 spans into one frozen, validated object:
 
-* ``data`` — which benchmark split (or custom pair) to align, at what
-  scale, under which graph backend (:class:`DataSpec`);
+* ``data`` — which benchmark split (or custom pair) to align, and at
+  what scale (:class:`DataSpec`);
 * ``model`` — which registered aligner, at what width, with which
   model-specific options (:class:`ModelSpec`);
 * ``training`` — the optimisation recipe, reusing the existing
@@ -20,8 +20,8 @@ spec``, and ``from_json_file`` / ``to_json_file`` move them through plain
 JSON (tuples become lists on the way out and are restored on the way in).
 Unknown keys and illegal combinations are rejected with actionable
 messages; every cross-field legality rule — candidates × ranking,
-iterative × LSH, patience × cadence, backend coherence, sampling
-capability — is enforced in exactly one place,
+iterative × LSH, patience × cadence, sampling capability — is enforced
+in exactly one place,
 :meth:`PipelineSpec.validate`, through the shared rule functions of
 :mod:`repro.core.rules`.
 """
@@ -102,6 +102,10 @@ class DataSpec:
     ``dataset_seed`` optionally overrides the preset's base seed for the
     synthetic generator itself (``None`` keeps the preset default, which is
     what the experiment harness uses).
+
+    Every graph runs as CSR; ``backend`` accepts ``"dense"`` and
+    ``"sparse"``, which both name that one representation, so specs and
+    artifacts written with either still parse.
     """
 
     dataset: str = "FBDB15K"
@@ -114,7 +118,9 @@ class DataSpec:
     dataset_seed: int | None = None
 
     def __post_init__(self) -> None:
-        rules.check_backend(self.backend)
+        if self.backend not in {"dense", "sparse"}:
+            raise ValueError(
+                f"backend must be 'dense' or 'sparse', got {self.backend!r}")
         if self.num_entities <= 0:
             raise ValueError("num_entities must be positive")
         for name in ("seed_ratio", "image_ratio", "text_ratio"):
@@ -417,13 +423,6 @@ class PipelineSpec:
             raise ValueError(
                 f"model {model.name!r} does not support encode='sampled' "
                 "(batched subgraph inference); use encode='full'")
-        # -- backend coherence -----------------------------------------
-        model_backend = model.options.get("backend")
-        if model_backend not in (None, "auto") and model_backend != data.backend:
-            raise ValueError(
-                f"model backend {model_backend!r} contradicts data backend "
-                f"{data.backend!r}; drop the model override (backend='auto' "
-                "follows the prepared task) or align the two sections")
         return self
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.core import (
     mutual_nearest_pairs,
     verify_layer_bounds,
 )
-from repro.kg.laplacian import graph_laplacian
+from repro.kg.sparse import graph_laplacian_sparse
 
 
 class TestCosineSimilarity:
@@ -129,7 +129,7 @@ class TestEnergyMonitor:
 
     def test_verify_layer_bounds_on_simple_graph(self):
         adjacency = np.array([[0, 1], [1, 0]], dtype=float)
-        laplacian = graph_laplacian(adjacency)
+        laplacian = graph_laplacian_sparse(adjacency)
         features = np.array([[1.0, 0.0], [0.0, 1.0]])
         report = verify_layer_bounds(features, np.eye(2), laplacian)
         assert report["energy_previous"] == pytest.approx(report["energy_next"])

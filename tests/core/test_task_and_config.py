@@ -94,7 +94,7 @@ class TestPrepareTask:
 
     def test_normalized_adjacency_rows_bounded(self, tiny_task):
         for side in (tiny_task.source, tiny_task.target):
-            assert np.all(side.normalized_adjacency >= 0)
+            assert np.all(side.normalized_adjacency.toarray() >= 0)
             assert side.normalized_adjacency.max() <= 1.0 + 1e-9
 
     def test_name_passthrough(self, tiny_task, tiny_pair):

@@ -140,8 +140,8 @@ class TestApplyDelta:
             for modality, values in old_side.features.features.items():
                 assert np.array_equal(values,
                                       new_side.features.features[modality])
-            assert np.array_equal(np.asarray(old_side.adjacency),
-                                  np.asarray(new_side.adjacency))
+            assert np.array_equal(old_side.adjacency.toarray(),
+                                  new_side.adjacency.toarray())
 
     def test_out_of_range_references_rejected(self, tiny_task):
         n_s = tiny_task.source.num_entities

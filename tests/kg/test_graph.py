@@ -47,7 +47,7 @@ class TestConstruction:
 
 class TestStructure:
     def test_adjacency_is_symmetric_binary(self, small_graph):
-        adjacency = small_graph.adjacency_matrix()
+        adjacency = small_graph.adjacency_matrix().toarray()
         assert np.allclose(adjacency, adjacency.T)
         assert set(np.unique(adjacency)) <= {0.0, 1.0}
         assert np.all(np.diag(adjacency) == 0)
@@ -62,7 +62,7 @@ class TestStructure:
 
     def test_degree_matches_adjacency(self, small_graph):
         assert np.allclose(small_graph.degree(),
-                           small_graph.adjacency_matrix().sum(axis=1))
+                           small_graph.adjacency_matrix().toarray().sum(axis=1))
 
     def test_self_loops_are_dropped(self):
         graph = MultiModalKG.from_triples(num_entities=2, relation_triples=[(0, 0, 0)])
@@ -113,7 +113,8 @@ class TestInconsistencyManipulation:
 
     def test_manipulations_preserve_structure(self, small_graph):
         reduced = small_graph.with_attribute_ratio(0.0, np.random.default_rng(0))
-        assert np.allclose(reduced.adjacency_matrix(), small_graph.adjacency_matrix())
+        assert np.allclose(reduced.adjacency_matrix().toarray(),
+                           small_graph.adjacency_matrix().toarray())
 
 
 class TestTripleTypes:

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oracles import (
+    reference_adjacency,
+    reference_dirichlet_energy,
+    reference_dirichlet_energy_pairwise,
+    reference_laplacian,
+    reference_normalized_adjacency,
+)
 from repro.kg import MultiModalKG
 from repro.kg.laplacian import (
     dirichlet_energy,
-    dirichlet_energy_pairwise,
-    graph_laplacian,
     largest_laplacian_eigenvalue,
-    normalized_adjacency,
     partition_laplacian,
 )
 from repro.kg.sparse import (
@@ -35,20 +39,16 @@ def graph() -> MultiModalKG:
 
 class TestAdjacencyFromTriples:
     def test_matches_dense_binary(self, graph):
-        dense = graph.adjacency_matrix()
+        dense = reference_adjacency(graph)
         sparse = adjacency_from_triples(graph.num_entities, graph.relation_triples)
         assert sp.issparse(sparse)
         assert np.array_equal(dense, sparse.toarray())
 
     def test_matches_dense_weighted(self, graph):
-        dense = graph.adjacency_matrix(weighted=True)
+        dense = reference_adjacency(graph, weighted=True)
         sparse = adjacency_from_triples(graph.num_entities, graph.relation_triples,
                                         weighted=True)
         assert np.array_equal(dense, sparse.toarray())
-
-    def test_graph_method_sparse_flag(self, graph):
-        assert np.array_equal(graph.adjacency_matrix(),
-                              graph.adjacency_matrix(sparse=True).toarray())
 
     def test_empty_graph(self):
         sparse = adjacency_from_triples(4, [])
@@ -58,12 +58,12 @@ class TestAdjacencyFromTriples:
 
 class TestDegrees:
     def test_matches_adjacency_row_sums(self, graph):
-        expected = graph.adjacency_matrix().sum(axis=1)
+        expected = graph.adjacency_matrix().toarray().sum(axis=1)
         assert np.array_equal(degrees_from_triples(graph.num_entities,
                                                    graph.relation_triples), expected)
 
     def test_cached_degree_method(self, graph):
-        expected = graph.adjacency_matrix().sum(axis=1)
+        expected = graph.adjacency_matrix().toarray().sum(axis=1)
         assert np.array_equal(graph.degree(), expected)
         assert graph._degree_cache is not None
         # Cached value is protected from caller mutation.
@@ -80,16 +80,16 @@ class TestDegrees:
 class TestNormalizationAndLaplacian:
     @pytest.mark.parametrize("add_self_loops", [True, False])
     def test_normalized_adjacency_matches_dense(self, graph, add_self_loops):
-        dense_adj = graph.adjacency_matrix()
-        dense = normalized_adjacency(dense_adj, add_self_loops=add_self_loops)
+        dense_adj = reference_adjacency(graph)
+        dense = reference_normalized_adjacency(dense_adj, add_self_loops=add_self_loops)
         sparse = normalized_adjacency_sparse(sp.csr_matrix(dense_adj),
                                              add_self_loops=add_self_loops)
         assert sp.issparse(sparse)
         assert np.allclose(dense, sparse.toarray(), atol=1e-15)
 
     def test_accepts_dense_input(self, graph):
-        dense_adj = graph.adjacency_matrix()
-        assert np.allclose(normalized_adjacency(dense_adj),
+        dense_adj = reference_adjacency(graph)
+        assert np.allclose(reference_normalized_adjacency(dense_adj),
                            normalized_adjacency_sparse(dense_adj).toarray())
 
     def test_rejects_non_square(self):
@@ -97,18 +97,18 @@ class TestNormalizationAndLaplacian:
             normalized_adjacency_sparse(sp.csr_matrix(np.zeros((2, 3))))
 
     def test_laplacian_matches_dense(self, graph):
-        dense_adj = graph.adjacency_matrix()
-        dense = graph_laplacian(dense_adj)
+        dense_adj = reference_adjacency(graph)
+        dense = reference_laplacian(dense_adj)
         sparse = graph_laplacian_sparse(sp.csr_matrix(dense_adj))
         assert np.allclose(dense, sparse.toarray(), atol=1e-15)
 
     def test_dirichlet_energy_dispatches_on_sparse_laplacian(self, graph):
         rng = np.random.default_rng(0)
         features = rng.normal(size=(graph.num_entities, 4))
-        dense_lap = graph_laplacian(graph.adjacency_matrix())
-        sparse_lap = graph_laplacian_sparse(graph.adjacency_matrix(sparse=True))
+        dense_lap = reference_laplacian(reference_adjacency(graph))
+        sparse_lap = graph_laplacian_sparse(graph.adjacency_matrix())
         assert dirichlet_energy(features, sparse_lap) == pytest.approx(
-            dirichlet_energy(features, dense_lap), rel=1e-10)
+            reference_dirichlet_energy(features, dense_lap), rel=1e-10)
 
 
 class TestEdgewiseEnergy:
@@ -116,28 +116,28 @@ class TestEdgewiseEnergy:
     def test_matches_dense_pairwise(self, graph, add_self_loops):
         rng = np.random.default_rng(1)
         features = rng.normal(size=(graph.num_entities, 3))
-        dense = dirichlet_energy_pairwise(features, graph.adjacency_matrix(),
-                                          add_self_loops=add_self_loops)
-        edges = dirichlet_energy_edges(features, graph.adjacency_matrix(sparse=True),
+        dense = reference_dirichlet_energy_pairwise(features, reference_adjacency(graph),
+                                                    add_self_loops=add_self_loops)
+        edges = dirichlet_energy_edges(features, graph.adjacency_matrix(),
                                        add_self_loops=add_self_loops)
         assert edges == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
     def test_pairwise_entry_point_routes_sparse(self, graph):
         rng = np.random.default_rng(2)
         features = rng.normal(size=(graph.num_entities, 3))
-        assert dirichlet_energy_pairwise(features, graph.adjacency_matrix(sparse=True)) \
-            == pytest.approx(dirichlet_energy_pairwise(features, graph.adjacency_matrix()),
-                             rel=1e-9)
+        assert dirichlet_energy_edges(features, graph.adjacency_matrix()) \
+            == pytest.approx(reference_dirichlet_energy_pairwise(
+                features, reference_adjacency(graph)), rel=1e-9)
 
     def test_accepts_1d_features(self, graph):
         features = np.arange(graph.num_entities, dtype=float)
-        assert dirichlet_energy_edges(features, graph.adjacency_matrix(sparse=True)) >= 0.0
+        assert dirichlet_energy_edges(features, graph.adjacency_matrix()) >= 0.0
 
 
 class TestEdgeIndex:
     def test_covers_adjacency_plus_self_loops(self, graph):
-        adjacency = graph.adjacency_matrix()
-        rows, cols = edge_index(graph.adjacency_matrix(sparse=True))
+        adjacency = graph.adjacency_matrix().toarray()
+        rows, cols = edge_index(graph.adjacency_matrix())
         mask = np.zeros_like(adjacency, dtype=bool)
         mask[rows, cols] = True
         expected = (adjacency > 0) | np.eye(len(adjacency), dtype=bool)
@@ -146,7 +146,7 @@ class TestEdgeIndex:
         assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
 
     def test_sorted_by_row(self, graph):
-        rows, _ = edge_index(graph.adjacency_matrix(sparse=True))
+        rows, _ = edge_index(graph.adjacency_matrix())
         assert np.all(np.diff(rows) >= 0)
 
 
@@ -157,40 +157,44 @@ class TestLargestEigenvalue:
             + [(i, 0, (i + 7) % n) for i in range(n)])
 
     def test_small_graph_uses_exact_dense(self, graph):
-        laplacian = graph_laplacian(graph.adjacency_matrix())
+        laplacian = graph_laplacian_sparse(graph.adjacency_matrix())
         assert largest_laplacian_eigenvalue(laplacian) == pytest.approx(
-            float(np.linalg.eigvalsh(laplacian)[-1]))
+            float(np.linalg.eigvalsh(laplacian.toarray())[-1]))
 
     def test_eigsh_path_matches_dense_eigvalsh(self):
         ring = self._ring(150)
-        sparse_lap = graph_laplacian_sparse(ring.adjacency_matrix(sparse=True))
-        dense_lap = graph_laplacian(ring.adjacency_matrix())
+        sparse_lap = graph_laplacian_sparse(ring.adjacency_matrix())
+        dense_lap = reference_laplacian(reference_adjacency(ring))
         exact = float(np.linalg.eigvalsh(dense_lap)[-1])
         assert largest_laplacian_eigenvalue(sparse_lap) == pytest.approx(exact, abs=1e-8)
         assert largest_laplacian_eigenvalue(dense_lap) == pytest.approx(exact, abs=1e-8)
 
     def test_power_iteration_fallback(self):
         ring = self._ring(150)
-        laplacian = graph_laplacian_sparse(ring.adjacency_matrix(sparse=True))
+        laplacian = graph_laplacian_sparse(ring.adjacency_matrix())
         exact = largest_eigenvalue(laplacian)
         assert power_iteration_eigenvalue(laplacian, iterations=2000,
                                           tolerance=1e-13) == pytest.approx(exact, abs=1e-5)
 
     def test_range_zero_two(self):
         ring = self._ring(100)
-        laplacian = graph_laplacian_sparse(ring.adjacency_matrix(sparse=True))
+        laplacian = graph_laplacian_sparse(ring.adjacency_matrix())
         value = largest_laplacian_eigenvalue(laplacian)
         assert 0.0 <= value < 2.0 + 1e-9
 
 
 class TestPartitionLaplacianSparse:
     def test_blocks_match_dense(self, graph):
-        dense_lap = graph_laplacian(graph.adjacency_matrix())
-        sparse_lap = graph_laplacian_sparse(graph.adjacency_matrix(sparse=True))
+        dense_lap = reference_laplacian(reference_adjacency(graph))
+        sparse_lap = graph_laplacian_sparse(graph.adjacency_matrix())
         consistent = np.array([0, 2, 5])
         count_inconsistent = np.array([1, 4, 7])
         missing = np.array([3, 6])
-        dense_blocks = partition_laplacian(dense_lap, consistent, count_inconsistent, missing)
+        index = {"c": consistent, "o1": count_inconsistent, "o2": missing}
         sparse_blocks = partition_laplacian(sparse_lap, consistent, count_inconsistent, missing)
-        for key, block in dense_blocks.items():
-            assert np.allclose(block, sparse_blocks[key].toarray(), atol=1e-15)
+        assert len(sparse_blocks) == len(index) ** 2
+        for row_key, rows in index.items():
+            for col_key, cols in index.items():
+                block = dense_lap[np.ix_(rows, cols)]
+                assert np.allclose(block, sparse_blocks[f"{row_key}{col_key}"].toarray(),
+                                   atol=1e-15)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.kg.laplacian import normalized_adjacency
+from repro.kg.sparse import normalized_adjacency_sparse
 from repro.nn import GAT, GATLayer, GCN, GCNLayer, Parameter
 
 
@@ -84,14 +84,14 @@ class TestGAT:
 class TestGCN:
     def test_layer_matches_manual_propagation(self, rng, chain_adjacency):
         layer = GCNLayer(4, 4, rng)
-        normalised = normalized_adjacency(chain_adjacency)
+        normalised = normalized_adjacency_sparse(chain_adjacency)
         features = rng.normal(size=(6, 4))
         expected = normalised @ features @ layer.weight.numpy() + layer.bias.numpy()
         assert np.allclose(layer(Tensor(features), normalised).numpy(), expected)
 
     def test_stack_shapes_and_gradients(self, rng, chain_adjacency):
         encoder = GCN(4, num_layers=3, rng=rng)
-        normalised = normalized_adjacency(chain_adjacency)
+        normalised = normalized_adjacency_sparse(chain_adjacency)
         features = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         out = encoder(features, normalised)
         assert out.shape == (6, 4)
@@ -100,7 +100,7 @@ class TestGCN:
 
     def test_propagation_mixes_neighbour_information(self, rng, chain_adjacency):
         encoder = GCN(4, num_layers=1, rng=rng)
-        normalised = normalized_adjacency(chain_adjacency)
+        normalised = normalized_adjacency_sparse(chain_adjacency)
         features = np.zeros((6, 4))
         features[0] = 1.0
         out = encoder(Tensor(features), normalised).numpy()

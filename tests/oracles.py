@@ -1,20 +1,32 @@
-"""Shared brute-force oracles for the decode stack's test suites.
+"""Shared brute-force oracles for the test suites.
 
-Every optimised decode path in the library — vectorised ranking, partial-
-selection CSLS, streaming blockwise top-k, approximate candidate decodes —
-is validated against the straightforward formulations collected here.  The
-oracles deliberately trade speed for obviousness: per-test-pair Python
-loops, full ``np.sort`` reductions and quadratic scans, exactly as the
+Every optimised path in the library is validated against the
+straightforward formulations collected here:
+
+* the decode stack — vectorised ranking, partial-selection CSLS, streaming
+  blockwise top-k, approximate candidate decodes — against dense
+  similarity matrices, per-test-pair Python loops, full ``np.sort``
+  reductions and quadratic scans;
+* the CSR graph operators — adjacency, normalisation, Laplacian, both
+  Dirichlet-energy forms, Semantic Propagation, the Prop. 4 closed form and
+  the edge-list GAT — against the paper's dense ``n x n`` formulas.
+
+The oracles deliberately trade speed for obviousness, exactly as the
 historical implementations computed them, so a test failure localises the
-bug in the optimised path rather than the reference.
-
-The helpers accept plain dense similarity matrices (oracles never consume
-streaming decodes; producing the dense matrix is the caller's job).
+bug in the optimised path rather than the reference.  The decode oracles
+accept plain dense similarity matrices (oracles never consume streaming
+decodes; producing the dense matrix is the caller's job); the graph oracles
+accept a dense or CSR adjacency and densify it.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+import scipy.sparse as sp
+
+from repro.autograd import Tensor, softmax
 
 __all__ = [
     "reference_similarity",
@@ -22,6 +34,16 @@ __all__ = [
     "reference_csls",
     "reference_mutual_pairs",
     "reference_topk",
+    "reference_adjacency",
+    "reference_normalized_adjacency",
+    "reference_laplacian",
+    "reference_dirichlet_energy",
+    "reference_dirichlet_energy_pairwise",
+    "reference_propagation",
+    "reference_closed_form",
+    "reference_gat_layer",
+    "reference_gat",
+    "dense_graph_formulas",
 ]
 
 
@@ -130,3 +152,159 @@ def reference_topk(similarity, k: int) -> tuple[np.ndarray, np.ndarray]:
         indices[row] = order
         scores[row] = similarity[row][order]
     return indices, scores
+
+
+# ---------------------------------------------------------------------------
+# Graph operators: the dense n x n formulas
+# ---------------------------------------------------------------------------
+def _dense(matrix) -> np.ndarray:
+    if sp.issparse(matrix):
+        return matrix.toarray().astype(np.float64)
+    return np.asarray(matrix, dtype=np.float64)
+
+
+def reference_adjacency(graph, weighted: bool = False) -> np.ndarray:
+    """Symmetric ``n x n`` adjacency, filled by a loop over the triples.
+
+    Undirected, self-loops dropped, parallel edges counted when
+    ``weighted`` and collapsed to 1 otherwise.
+    """
+    adjacency = np.zeros((graph.num_entities, graph.num_entities))
+    for triple in graph.relation_triples:
+        if triple.head == triple.tail:
+            continue
+        adjacency[triple.head, triple.tail] += 1.0
+        adjacency[triple.tail, triple.head] += 1.0
+    if not weighted:
+        adjacency = (adjacency > 0).astype(np.float64)
+    return adjacency
+
+
+def _looped_and_inverse_sqrt_degrees(adjacency, add_self_loops: bool):
+    """Dense ``A [+ I]`` and its ``D^{-1/2}`` diagonal (0 for zero-degree rows)."""
+    dense = _dense(adjacency)
+    if add_self_loops:
+        dense = dense + np.eye(dense.shape[0])
+    degrees = dense.sum(axis=1)
+    return dense, np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1e-12)), 0.0)
+
+
+def reference_normalized_adjacency(adjacency, add_self_loops: bool = True) -> np.ndarray:
+    """``D^{-1/2} (A [+ I]) D^{-1/2}`` on dense arrays."""
+    dense, inv_sqrt = _looped_and_inverse_sqrt_degrees(adjacency, add_self_loops)
+    return dense * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def reference_laplacian(adjacency, add_self_loops: bool = True) -> np.ndarray:
+    """Normalised Laplacian ``Δ = I - Ã`` as a dense array."""
+    normalised = reference_normalized_adjacency(adjacency, add_self_loops=add_self_loops)
+    return np.eye(normalised.shape[0]) - normalised
+
+
+def reference_dirichlet_energy(features, laplacian) -> float:
+    """Trace form ``tr(Xᵀ Δ X)`` of Definition 3 with a dense ``Δ``."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim == 1:
+        features = features[:, None]
+    return float(np.trace(features.T @ _dense(laplacian) @ features))
+
+
+def reference_dirichlet_energy_pairwise(features, adjacency,
+                                        add_self_loops: bool = True) -> float:
+    """Pairwise form ``1/2 Σ_ij a_ij ||x_i/√d_i - x_j/√d_j||²`` over all pairs."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim == 1:
+        features = features[:, None]
+    dense, inv_sqrt = _looped_and_inverse_sqrt_degrees(adjacency, add_self_loops)
+    scaled = features * inv_sqrt[:, None]
+    squared_norms = np.sum(scaled ** 2, axis=1)
+    pairwise = squared_norms[:, None] + squared_norms[None, :] - 2.0 * (scaled @ scaled.T)
+    return float(0.5 * np.sum(dense * pairwise))
+
+
+def reference_propagation(features, adjacency, known=None, iterations: int = 2,
+                          reset_known: bool = True) -> list[np.ndarray]:
+    """Explicit Euler states ``x ← Ã x`` (Eq. 20-22) with a dense ``Ã``."""
+    features = np.asarray(features, dtype=np.float64)
+    propagation = reference_normalized_adjacency(adjacency)
+    states = [features.copy()]
+    current = features.copy()
+    for _ in range(iterations):
+        current = propagation @ current
+        if reset_known and known is not None:
+            known = np.asarray(known, dtype=bool)
+            current[known] = features[known]
+        states.append(current.copy())
+    return states
+
+
+def reference_closed_form(features, adjacency, known) -> np.ndarray:
+    """Proposition 4 by a dense solve of ``Δ_oo x_o = -Δ_oc x_c``."""
+    features = np.asarray(features, dtype=np.float64)
+    known = np.asarray(known, dtype=bool)
+    solution = features.copy()
+    if known.all():
+        return solution
+    unknown = ~known
+    laplacian = reference_laplacian(adjacency)
+    lap_oo = laplacian[np.ix_(unknown, unknown)]
+    lap_oc = laplacian[np.ix_(unknown, known)]
+    solution[unknown] = np.linalg.solve(lap_oo, -lap_oc @ features[known])
+    return solution
+
+
+def reference_gat_layer(layer, features: Tensor, adjacency) -> Tensor:
+    """``layer``'s attention as a masked dense softmax over every pair.
+
+    Logits of non-edges are pushed to ``-1e9`` (they underflow to zero
+    weight); self-loops are always attended.  Built from autograd ops on
+    the layer's own parameters, so gradients compare too.
+    """
+    dense = _dense(adjacency)
+    mask = (dense > 0) | np.eye(dense.shape[0], dtype=bool)
+    bias = Tensor(np.where(mask, 0.0, -1e9))
+    outputs = []
+    for head in range(layer.num_heads):
+        transformed = features @ layer._head_weight(head)
+        logits_src = transformed @ layer._attn_src[head]
+        logits_dst = transformed @ layer._attn_dst[head]
+        logits = (logits_src + logits_dst.T).leaky_relu(layer.negative_slope)
+        outputs.append(softmax(logits + bias, axis=-1) @ transformed)
+    return Tensor.concat(outputs, axis=-1)
+
+
+def reference_gat(gat, features: Tensor, adjacency) -> Tensor:
+    """``gat``'s full stack with every layer run by :func:`reference_gat_layer`."""
+    hidden = gat.diagonal(features)
+    for index, layer in enumerate(gat.layers):
+        hidden = reference_gat_layer(layer, hidden, adjacency)
+        if index < len(gat.layers) - 1:
+            hidden = hidden.relu()
+    return hidden
+
+
+@contextlib.contextmanager
+def dense_graph_formulas():
+    """Run every ``GAT`` and ``SemanticPropagation`` through the dense oracles.
+
+    Inside the block a full-graph model trains and decodes with the masked
+    dense attention softmax and dense Euler steps, so a whole fit can be
+    compared with the CSR one.
+    """
+    from repro.core.propagation import SemanticPropagation
+    from repro.nn import GAT
+
+    originals = GAT.forward, SemanticPropagation.propagate_features
+
+    def gat_forward(self, features, adjacency):
+        return reference_gat(self, features, adjacency)
+
+    def propagate_features(self, features, adjacency, known=None):
+        return reference_propagation(features, adjacency, known, self.iterations,
+                                     self.reset_known)
+
+    GAT.forward, SemanticPropagation.propagate_features = gat_forward, propagate_features
+    try:
+        yield
+    finally:
+        GAT.forward, SemanticPropagation.propagate_features = originals

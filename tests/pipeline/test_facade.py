@@ -1,5 +1,6 @@
 """AlignmentPipeline facade: lifecycle, caching, persistence, legacy parity."""
 
+import json
 import threading
 import time
 import warnings
@@ -198,7 +199,7 @@ class TestLegacyParity:
         aligner = AlignmentPipeline.from_spec(spec).fit()
 
         pair = load_benchmark("FBDB15K", seed_ratio=0.3, num_entities=40)
-        task = prepare_task(pair, structure_dim=16, seed=0, backend="dense")
+        task = prepare_task(pair, structure_dim=16, seed=0)
         model = DESAlign(task, DESAlignConfig(hidden_dim=16, seed=0,
                                               propagation_iters=2))
         result = Trainer(model, task, spec.training).fit()
@@ -419,6 +420,52 @@ class TestOneDecodePath:
         loaded = Aligner.load(aligner.save(tmp_path / "artifact"))
         assert aligner.metrics == aligner.evaluate() == loaded.evaluate()
         assert loaded.align().approximate
+
+
+def _saved_spec_payload(name: str, data_backend: str,
+                        model_backend: str | None = None) -> dict:
+    """A spec dict as saved before CSR became the only graph representation."""
+    options = {"propagation_iters": 2} if name == "DESAlign" else {}
+    if model_backend is not None:
+        options["backend"] = model_backend
+    return {
+        "data": {"dataset": "FBDB15K", "num_entities": 40, "seed_ratio": 0.3,
+                 "backend": data_backend, "seed": 0},
+        "model": {"name": name, "hidden_dim": 16, "options": options},
+        "training": {"epochs": 2, "eval_every": 0, "seed": 0},
+        "decode": {"k": 5},
+    }
+
+
+class TestSavedBackendOptions:
+    """``data.backend`` and the removed ``model.options.backend`` are inert."""
+
+    @pytest.fixture(scope="class", params=["DESAlign", "EVA"])
+    def reference(self, request):
+        spec = PipelineSpec.from_dict(_saved_spec_payload(request.param, "sparse"))
+        return request.param, AlignmentPipeline.from_spec(spec).fit()
+
+    @pytest.mark.parametrize("model_backend", ["auto", "dense", "sparse"])
+    def test_saved_spec_fits_and_reloads_identically(self, reference, model_backend,
+                                                     tmp_path):
+        name, expected = reference
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_saved_spec_payload(name, "dense", model_backend)))
+        spec = PipelineSpec.from_json_file(path)
+        assert spec.data.backend == "dense"
+        assert spec.model.options["backend"] == model_backend
+
+        aligner = AlignmentPipeline.from_spec(spec).fit()
+        assert aligner.metrics == expected.metrics
+
+        loaded = Aligner.load(aligner.save(tmp_path / "artifact"))
+        table, restored = expected.align(), loaded.align()
+        assert np.array_equal(table.target_ids, restored.target_ids)
+        assert np.array_equal(table.scores, restored.scores)
+        assert loaded._ensure_model()
+        restored_state = loaded.model.state_dict()
+        for key, values in expected.model.state_dict().items():
+            assert np.array_equal(values, restored_state[key]), key
 
 
 class TestRegistryExtension:

@@ -186,11 +186,6 @@ class TestValidation:
             PipelineSpec(model=ModelSpec(name="TransE"),
                          decode=DecodeSpec(encode="sampled")).validate()
 
-    def test_backend_mismatch_between_model_and_data(self):
-        with pytest.raises(ValueError, match="contradicts data backend"):
-            PipelineSpec(data=DataSpec(backend="sparse"),
-                         model=ModelSpec(options={"backend": "dense"})).validate()
-
     def test_model_auto_backend_is_coherent(self):
         spec = PipelineSpec(data=DataSpec(backend="sparse"),
                             model=ModelSpec(options={"backend": "auto"}))

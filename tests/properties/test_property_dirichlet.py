@@ -10,15 +10,14 @@ the normalised Laplacian.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from oracles import reference_dirichlet_energy_pairwise
 from repro.kg.laplacian import (
     dirichlet_energy,
-    dirichlet_energy_pairwise,
     energy_gap_bounds,
-    graph_laplacian,
     largest_laplacian_eigenvalue,
     layer_energy_bounds,
-    normalized_adjacency,
 )
+from repro.kg.sparse import graph_laplacian_sparse, normalized_adjacency_sparse
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -42,23 +41,23 @@ class TestDefinition3:
     @given(random_graph_and_features())
     def test_energy_non_negative(self, graph_and_features):
         adjacency, features = graph_and_features
-        laplacian = graph_laplacian(adjacency)
+        laplacian = graph_laplacian_sparse(adjacency)
         assert dirichlet_energy(features, laplacian) >= -1e-9
 
     @SETTINGS
     @given(random_graph_and_features())
     def test_trace_equals_pairwise_form(self, graph_and_features):
         adjacency, features = graph_and_features
-        laplacian = graph_laplacian(adjacency)
+        laplacian = graph_laplacian_sparse(adjacency)
         trace_form = dirichlet_energy(features, laplacian)
-        pairwise_form = dirichlet_energy_pairwise(features, adjacency)
+        pairwise_form = reference_dirichlet_energy_pairwise(features, adjacency)
         assert np.isclose(trace_form, pairwise_form, rtol=1e-7, atol=1e-8)
 
     @SETTINGS
     @given(random_graph_and_features(), st.floats(min_value=0.1, max_value=10.0))
     def test_energy_is_quadratic_in_scaling(self, graph_and_features, scale):
         adjacency, features = graph_and_features
-        laplacian = graph_laplacian(adjacency)
+        laplacian = graph_laplacian_sparse(adjacency)
         base = dirichlet_energy(features, laplacian)
         scaled = dirichlet_energy(scale * features, laplacian)
         assert np.isclose(scaled, scale ** 2 * base, rtol=1e-6, atol=1e-8)
@@ -69,8 +68,8 @@ class TestSpectrum:
     @given(random_graph_and_features())
     def test_laplacian_eigenvalues_in_range(self, graph_and_features):
         adjacency, _ = graph_and_features
-        laplacian = graph_laplacian(adjacency)
-        eigenvalues = np.linalg.eigvalsh(laplacian)
+        laplacian = graph_laplacian_sparse(adjacency)
+        eigenvalues = np.linalg.eigvalsh(laplacian.toarray())
         assert eigenvalues.min() >= -1e-8
         assert largest_laplacian_eigenvalue(laplacian) <= 2.0 + 1e-8
 
@@ -78,8 +77,8 @@ class TestSpectrum:
     @given(random_graph_and_features())
     def test_normalized_adjacency_spectral_radius_at_most_one(self, graph_and_features):
         adjacency, _ = graph_and_features
-        normalised = normalized_adjacency(adjacency)
-        eigenvalues = np.linalg.eigvalsh(normalised)
+        normalised = normalized_adjacency_sparse(adjacency)
+        eigenvalues = np.linalg.eigvalsh(normalised.toarray())
         assert np.abs(eigenvalues).max() <= 1.0 + 1e-8
 
 
@@ -90,7 +89,7 @@ class TestProposition1:
     def test_convexity_lower_bound(self, graph_and_features, seed, magnitude):
         """L(X̂) - L(X) >= 2 <ΔX, X̂ - X> (first-order convexity bound)."""
         adjacency, features = graph_and_features
-        laplacian = graph_laplacian(adjacency)
+        laplacian = graph_laplacian_sparse(adjacency)
         rng = np.random.default_rng(seed)
         modified = features + magnitude * rng.normal(size=features.shape)
         gap = dirichlet_energy(modified, laplacian) - dirichlet_energy(features, laplacian)
@@ -103,7 +102,7 @@ class TestCorollary1:
     @given(random_graph_and_features(), st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_lower_bound_never_exceeds_distance(self, graph_and_features, seed):
         adjacency, features = graph_and_features
-        laplacian = graph_laplacian(adjacency)
+        laplacian = graph_laplacian_sparse(adjacency)
         rng = np.random.default_rng(seed)
         modified = features + rng.normal(size=features.shape)
         lower, distance, _ = energy_gap_bounds(features, modified, laplacian)
@@ -115,7 +114,7 @@ class TestProposition2:
     @given(random_graph_and_features(), st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_linear_layer_energy_bounds(self, graph_and_features, seed):
         adjacency, features = graph_and_features
-        laplacian = graph_laplacian(adjacency)
+        laplacian = graph_laplacian_sparse(adjacency)
         rng = np.random.default_rng(seed)
         weight = rng.normal(size=(features.shape[1], features.shape[1]))
         previous = dirichlet_energy(features, laplacian)

@@ -128,7 +128,7 @@ class TestRunCommand:
             if line.startswith("metrics:"))
 
         pair = load_benchmark("FBDB15K", seed_ratio=0.3, num_entities=36)
-        task = prepare_task(pair, structure_dim=16, seed=0, backend="dense")
+        task = prepare_task(pair, structure_dim=16, seed=0)
         model = DESAlign(task, DESAlignConfig(hidden_dim=16, seed=0))
         legacy = Trainer(model, task,
                          TrainingConfig(epochs=2, eval_every=0, seed=0)).fit()
