@@ -7,6 +7,13 @@ familiar define-by-run style of PyTorch: every operation records a backward
 closure, and :meth:`Tensor.backward` walks the tape in reverse topological
 order accumulating gradients.
 
+The tape frees itself by reference counting.  A node stores its closure,
+which holds the node's parents but never the node, so the graph is acyclic
+and goes away as soon as the last reference to its root does — the cyclic
+garbage collector plays no part.  Only leaves keep ``.grad`` after a
+backward pass; each interior gradient is dropped once its node has handed
+it on.
+
 Only the operations required by the DESAlign reproduction are implemented,
 but each one supports full numpy broadcasting and is covered by numerical
 gradient checks in ``tests/autograd``.
@@ -26,6 +33,13 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 #: must not stop another thread's tape from recording.
 _GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
     "repro_grad_enabled", default=True)
+
+#: ``id`` of every tensor whose ``.grad`` the backward pass running in this
+#: context allocated or adopted.  Only those buffers are added into in
+#: place; a gradient from before the pass, or one a caller assigned, is
+#: replaced by a fresh sum instead.
+_GRAD_OWNERS: contextvars.ContextVar[set[int]] = contextvars.ContextVar(
+    "repro_grad_owners")
 
 
 @contextlib.contextmanager
@@ -63,6 +77,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _read_only(grad) -> np.ndarray:
+    """A read-only array view of ``grad``: nothing downstream adopts or writes it."""
+    view = np.asarray(grad, dtype=np.float64).view()
+    view.flags.writeable = False
+    return view
+
+
 def _as_array(value) -> np.ndarray:
     if isinstance(value, np.ndarray):
         return value.astype(np.float64, copy=False)
@@ -80,7 +101,7 @@ class Tensor:
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED.get()
         self.grad: np.ndarray | None = None
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
         self._prev: tuple[Tensor, ...] = ()
         self.name = name
 
@@ -152,30 +173,53 @@ class Tensor:
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._prev = tuple(parents)
-            out._backward = lambda: backward(out)
+            out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
         grad = _unbroadcast(grad, self.data.shape)
+        owners = _GRAD_OWNERS.get()
         if self.grad is None:
-            self.grad = grad.copy()
+            # A fresh C-ordered array is adopted as it is.  A view of the
+            # consumer's gradient arrives read-only and is copied, as is any
+            # other layout: GEMMs and reductions downstream round by layout.
+            if not (grad.flags.writeable and grad.flags.c_contiguous):
+                grad = np.array(grad, order="C")
+            self.grad = grad
+        elif id(self) in owners:
+            self.grad += grad
         else:
             self.grad = self.grad + grad
+        owners.add(id(self))
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor through the recorded tape."""
+        """Backpropagate from this tensor through the recorded tape.
+
+        Nodes run in reverse post-order, so a node shared by several
+        consumers sums their contributions in consumer order.  Only leaves
+        keep ``.grad``: each interior node hands its gradient to its
+        backward as a read-only view and drops it right after, so a second
+        pass through the same graph starts from clean interior gradients.
+        Within one pass every ``.grad`` is a C-ordered buffer its tensor
+        owns, and later contributions are added into it in place; a first
+        contribution is adopted when it is a fresh, writeable, C-ordered
+        array and copied otherwise.  The seed ``grad`` (accumulated into
+        this tensor) and any ``.grad`` from before the pass are never
+        written to.  The graph stays recorded while this tensor is
+        referenced and is freed by reference counting afterwards.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar tensors")
             grad = np.ones_like(self.data)
-        self.grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+        seed = _read_only(grad)
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -193,9 +237,16 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+        token = _GRAD_OWNERS.set(set())
+        try:
+            self._accumulate(seed)
+            for node in reversed(topo):
+                if node._backward is not None and node.grad is not None:
+                    node.grad = _read_only(node.grad)
+                    node._backward(node)
+                    node.grad = None
+        finally:
+            _GRAD_OWNERS.reset(token)
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autograd import Tensor
+from ..autograd import Tensor, no_grad
 from ..data.loader import SeedPairLoader, epoch_order
 from ..eval.evaluator import Evaluator
 from ..eval.metrics import AlignmentMetrics
@@ -206,6 +206,8 @@ class TrainingLoop:
                 optimizer.step()
                 epoch_loss += loss.item()
                 num_batches += 1
+                # Free this step's tape before the next forward records one.
+                del loss
             history.losses.append(epoch_loss / max(1, num_batches))
 
             should_evaluate = (config.eval_every > 0
@@ -243,7 +245,8 @@ class FullGraphLoop(TrainingLoop):
 
     def record_energy(self, monitor: EnergyMonitor, epoch: int) -> None:
         if hasattr(self.model, "encode"):
-            monitor.record(epoch, self.model.encode("source"))
+            with no_grad():
+                monitor.record(epoch, self.model.encode("source"))
 
 
 @register_training_loop("neighbour")

@@ -184,6 +184,11 @@ def edge_index(adjacency, add_self_loops: bool = True) -> tuple[np.ndarray, np.n
     return result
 
 
+def _start_vector(n: int) -> np.ndarray:
+    """The fixed-seed start vector of both eigenvalue iterations."""
+    return np.random.default_rng(0).normal(size=n)
+
+
 def power_iteration_eigenvalue(matrix, iterations: int = 200,
                                tolerance: float = 1e-10) -> float:
     """Largest eigenvalue of a symmetric **PSD** operator by power iteration.
@@ -194,8 +199,7 @@ def power_iteration_eigenvalue(matrix, iterations: int = 200,
     when the spectrum is non-negative — true for the normalised Laplacian,
     the intended operator here.
     """
-    n = matrix.shape[0]
-    vector = np.random.default_rng(0).normal(size=n)
+    vector = _start_vector(matrix.shape[0])
     vector /= np.linalg.norm(vector)
     eigenvalue = 0.0
     for _ in range(iterations):
@@ -216,7 +220,8 @@ def largest_eigenvalue(matrix, dense_cutoff: int = DENSE_EIGEN_CUTOFF) -> float:
 
     Tiny matrices use dense ``eigvalsh`` (exact, and ``eigsh`` requires
     ``k < n``); larger ones use Lanczos ``eigsh(k=1)`` in ``O(|E|)`` per
-    iteration.  When the Lanczos iteration itself fails, power iteration
+    iteration, started from a fixed vector so that repeated calls agree bit
+    for bit.  When the Lanczos iteration itself fails, power iteration
     takes over — note that fallback assumes a PSD spectrum (it returns the
     largest-modulus eigenvalue), which holds for the Laplacians this is
     used on.
@@ -226,7 +231,8 @@ def largest_eigenvalue(matrix, dense_cutoff: int = DENSE_EIGEN_CUTOFF) -> float:
         dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
         return float(np.linalg.eigvalsh(dense)[-1])
     try:
-        values = eigsh(matrix, k=1, which="LA", return_eigenvectors=False)
+        values = eigsh(matrix, k=1, which="LA", v0=_start_vector(n),
+                       return_eigenvectors=False)
         return float(values[0])
     except (ArpackError, ArpackNoConvergence):
         return power_iteration_eigenvalue(matrix)

@@ -1,6 +1,9 @@
 """Unit tests for the basic Tensor operations (forward values and gradients)."""
 
+import gc
+import itertools
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -232,3 +235,70 @@ class TestBackwardMechanics:
             out = out * 1.001
         out.sum().backward()
         assert a.grad is not None and np.isfinite(a.grad).all()
+
+
+class TestTapeLifetimeAndOwnership:
+    def test_second_backward_through_shared_node_counts_once(self):
+        a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        b = a * 2
+        b.sum().backward()
+        (b * 3).sum().backward()
+        assert np.array_equal(a.grad, [8.0, 8.0, 8.0])
+        assert b.grad is None
+
+    def test_leaf_root_accumulates_into_its_own_gradient(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        g = np.array([1.0, 2.0])
+        a.backward(g)
+        assert not np.shares_memory(a.grad, g)
+        a.backward(g)
+        assert np.array_equal(a.grad, [2.0, 4.0])
+        assert not np.shares_memory(a.grad, g)
+        assert np.array_equal(g, [1.0, 2.0]) and g.flags.writeable
+
+    def test_finished_tape_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            a = Tensor(np.ones(3), requires_grad=True)
+            hidden = (a * 2).exp()
+            output = weakref.ref(hidden.data)
+            loss = hidden.sum()
+            del hidden
+            loss.backward()
+            assert output() is not None
+            del loss
+            assert output() is None
+        finally:
+            gc.enable()
+
+    def test_only_leaves_keep_gradients_and_each_owns_its_buffer(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        y = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        hidden = x @ w + b
+        flipped = y.T
+        rowsum = (x * 2).sum(axis=1, keepdims=True)
+        root = Tensor.concat([hidden, flipped, rowsum], axis=-1)
+        seed = rng.normal(size=root.shape)
+        root.backward(seed)
+        assert all(node.grad is None for node in (hidden, flipped, rowsum, root))
+        leaves = (x, w, b, y)
+        for leaf in leaves:
+            assert leaf.grad.flags.writeable and leaf.grad.flags.c_contiguous
+            assert not np.shares_memory(leaf.grad, seed)
+        for first, second in itertools.combinations(leaves, 2):
+            assert not np.shares_memory(first.grad, second.grad)
+        assert np.array_equal(y.grad, seed[:, 2:6].T)
+
+    def test_gradients_from_before_the_pass_are_never_written(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        assigned = np.zeros(2)
+        a.grad = assigned
+        ((a * 2) + a).sum().backward()
+        assert np.array_equal(assigned, [0.0, 0.0])
+        kept = a.grad
+        ((a * 2) + a).sum().backward()
+        assert np.array_equal(kept, [3.0, 3.0])
+        assert np.array_equal(a.grad, [6.0, 6.0])

@@ -169,6 +169,11 @@ class TestLargestEigenvalue:
         assert largest_laplacian_eigenvalue(sparse_lap) == pytest.approx(exact, abs=1e-8)
         assert largest_laplacian_eigenvalue(dense_lap) == pytest.approx(exact, abs=1e-8)
 
+    def test_eigsh_path_is_reproducible(self):
+        laplacian = graph_laplacian_sparse(self._ring(200).adjacency_matrix())
+        values = [largest_laplacian_eigenvalue(laplacian) for _ in range(5)]
+        assert all(value == values[0] for value in values)
+
     def test_power_iteration_fallback(self):
         ring = self._ring(150)
         laplacian = graph_laplacian_sparse(ring.adjacency_matrix())

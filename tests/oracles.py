@@ -9,7 +9,9 @@ straightforward formulations collected here:
   reductions and quadratic scans;
 * the CSR graph operators — adjacency, normalisation, Laplacian, both
   Dirichlet-energy forms, Semantic Propagation, the Prop. 4 closed form and
-  the edge-list GAT — against the paper's dense ``n x n`` formulas.
+  the edge-list GAT — against the paper's dense ``n x n`` formulas;
+* the autograd tape's gradient accumulation — adopting fresh arrays and
+  adding in place — against copying every first gradient.
 
 The oracles deliberately trade speed for obviousness, exactly as the
 historical implementations computed them, so a test failure localises the
@@ -27,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd import Tensor, softmax
+from repro.autograd.tensor import _unbroadcast
 
 __all__ = [
     "reference_similarity",
@@ -44,6 +47,7 @@ __all__ = [
     "reference_gat_layer",
     "reference_gat",
     "dense_graph_formulas",
+    "copy_every_first_gradient",
 ]
 
 
@@ -308,3 +312,30 @@ def dense_graph_formulas():
         yield
     finally:
         GAT.forward, SemanticPropagation.propagate_features = originals
+
+
+@contextlib.contextmanager
+def copy_every_first_gradient():
+    """Run every ``Tensor`` accumulation under the copy-every-first-gradient rule.
+
+    A tensor's first gradient is always copied (into C order) and each
+    later one is summed into a new array, so no gradient buffer is ever
+    adopted or written in place: the tape's in-place accumulation must
+    match it bit for bit.
+    """
+    original = Tensor._accumulate
+
+    def accumulate(self, grad):
+        if not self.requires_grad:
+            return
+        grad = _unbroadcast(grad, self.data.shape)
+        if self.grad is None:
+            self.grad = grad.copy()
+        else:
+            self.grad = self.grad + grad
+
+    Tensor._accumulate = accumulate
+    try:
+        yield
+    finally:
+        Tensor._accumulate = original

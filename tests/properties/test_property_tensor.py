@@ -1,11 +1,14 @@
 """Property-based tests for the autograd substrate.
 
-Verify algebraic identities of the Tensor operations and that analytic
-gradients match finite differences on randomly drawn inputs and shapes.
+Verify algebraic identities of the Tensor operations, that analytic
+gradients match finite differences on randomly drawn inputs and shapes, and
+that the tape's in-place accumulation leaves every leaf gradient bit-identical
+to copying each first gradient.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from oracles import copy_every_first_gradient
 
 from repro.autograd import Tensor, check_gradients, softmax
 
@@ -105,3 +108,65 @@ class TestGradientProperties:
         (a * b).sum().backward()
         assert a.grad.shape == a.shape
         assert b.grad.shape == b.shape
+
+
+#: Steps of a random expression DAG.  Each maps two ``n x n`` operands and
+#: ``n`` to a new ``n x n`` node; operands are picked from the pool modulo
+#: its size, so earlier nodes (leaves included) are reused.
+DAG_STEPS = {
+    "add": lambda a, b, n: a + b,
+    "mul": lambda a, b, n: a * b.tanh(),
+    "matmul": lambda a, b, n: (a @ b) * (1.0 / n),
+    "transpose": lambda a, b, n: a.T,
+    "reshape": lambda a, b, n: a.T.reshape(n * n).reshape(n, n) - b,
+    "concat_rows": lambda a, b, n: Tensor.concat([a, b], axis=0)[1:n + 1],
+    "concat_cols": lambda a, b, n: Tensor.concat([a, b.T], axis=1)[:, n - 1:2 * n - 1],
+    "sum_broadcast": lambda a, b, n: a.sum(axis=0, keepdims=True) + b.sum(axis=1) + b,
+    "getitem": lambda a, b, n: a[np.arange(n)[::-1] % max(1, n - 1)],
+    "exp": lambda a, b, n: (a * 0.1).exp(),
+    "max": lambda a, b, n: a.max(axis=0, keepdims=True) + b,
+}
+
+
+@st.composite
+def expression_dags(draw):
+    side = draw(st.integers(min_value=2, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    steps = draw(st.lists(st.tuples(st.sampled_from(sorted(DAG_STEPS)),
+                                    st.integers(0, 63), st.integers(0, 63)),
+                          min_size=1, max_size=12))
+    roots = draw(st.lists(st.integers(0, 63), min_size=1, max_size=4))
+    return side, seed, steps, roots
+
+
+def _leaf_gradients(side, seed, steps, roots):
+    rng = np.random.default_rng(seed)
+    # One Fortran-ordered leaf: a max over it hands back a fresh F-ordered
+    # gradient, which must be copied into C order rather than adopted.
+    leaves = [Tensor(layout(rng.normal(size=(side, side))), requires_grad=True)
+              for layout in (np.asarray, np.asarray, np.asfortranarray)]
+    pool = list(leaves)
+    for name, first, second in steps:
+        pool.append(DAG_STEPS[name](pool[first % len(pool)],
+                                    pool[second % len(pool)], side))
+    loss = pool[-1].sum()
+    for pick in roots:
+        loss = loss + (pool[pick % len(pool)] * rng.normal(size=(side, side))).sum()
+    loss.backward()
+    return [leaf.grad for leaf in leaves]
+
+
+class TestInPlaceAccumulation:
+    @SETTINGS
+    @given(expression_dags())
+    def test_leaf_gradients_match_copy_every_first_gradient(self, dag):
+        gradients = _leaf_gradients(*dag)
+        with copy_every_first_gradient():
+            expected = _leaf_gradients(*dag)
+        for grad, reference in zip(gradients, expected):
+            if reference is None:
+                assert grad is None
+                continue
+            assert np.array_equal(grad, reference, equal_nan=True)
+            assert grad.flags.c_contiguous == reference.flags.c_contiguous
+            assert grad.flags.writeable
