@@ -15,7 +15,10 @@ as a float64 matrix — under two guards:
 
 Measured recall@1 against the exact decode (reference top-1 computed on a
 2,000-row sample by direct GEMM, before the guards engage) must stay at or
-above 0.99.
+above 0.99.  The decode's traced allocation peak (``tracemalloc``) must
+stay below one gathered operand of its largest block (that block's edges ×
+d × itemsize): the candidate gather streams cache-sized chunks of edges
+instead of copying every candidate row of a block.
 
 A companion seed-scale check pins the exactness contract: probing every
 bucket (``nprobe == n_clusters``) reproduces the exhaustive blockwise
@@ -24,6 +27,8 @@ recovers recall@1 == 1.0.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 
@@ -43,6 +48,7 @@ NOISE = 0.25
 N_CLUSTERS = 224          # ≈ sqrt(50,000)
 NPROBE = 12
 SAMPLE_ROWS = 2_000
+BLOCK_SIZE = 512
 #: The run fails if more than this fraction of all n_s * n_t dot products
 #: is computed (index construction included).
 FLOPS_BUDGET = 0.15
@@ -77,9 +83,19 @@ def _decode_50k() -> dict[str, float]:
                 "ivf", source, target,
                 AnnConfig(seed=0, n_clusters=N_CLUSTERS, nprobe=NPROBE,
                           kmeans_iters=5))
-            topk = blockwise_topk(source, target, k=10, block_size=512,
-                                  dtype=np.float32, row_candidates=candidates)
+            tracemalloc.start()
+            try:
+                topk = blockwise_topk(source, target, k=10,
+                                      block_size=BLOCK_SIZE, dtype=np.float32,
+                                      row_candidates=candidates)
+                _, decode_peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         pairs = topk.mutual_nearest_pairs(threshold=0.0)
+
+    block_edges = np.diff(candidates.indptr[
+        np.r_[0:ANN_ENTITIES:BLOCK_SIZE, ANN_ENTITIES]])
+    block_operand = int(block_edges.max()) * HIDDEN * np.dtype(np.float32).itemsize
 
     correct_mutual = sum(1 for s, t in pairs if s == t)
     total_cells = ANN_ENTITIES * ANN_ENTITIES
@@ -92,6 +108,8 @@ def _decode_50k() -> dict[str, float]:
         "recall1": float(np.mean(topk.indices[sample, 0] == exact_top1)),
         "mutual_pairs": len(pairs),
         "mutual_precision": correct_mutual / max(1, len(pairs)),
+        "decode_peak_mb": decode_peak / 1e6,
+        "block_operand_mb": block_operand / 1e6,
     }
 
 
@@ -108,6 +126,8 @@ def test_scaling_ann_decode_50000_entities(benchmark):
     assert report["recall1"] >= 0.99, report["recall1"]
     assert report["mutual_pairs"] > 0
     assert report["mutual_precision"] > 0.9
+    # The decode never holds a block's gathered candidate rows at once.
+    assert report["decode_peak_mb"] < report["block_operand_mb"], report
 
 
 def _seed_scale_exactness() -> dict:

@@ -111,6 +111,8 @@ def _train_and_propagate_sparse(num_entities: int) -> dict[str, float]:
         breakdown.total.backward()
         optimizer.step()
         losses.append(breakdown.total.item())
+        # Drop the step's tape before the next forward builds another one.
+        del breakdown
 
     # Semantic Propagation on the trained joint embeddings: sparse Euler
     # steps only — no full n x n similarity matrix is ever formed.

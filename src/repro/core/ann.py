@@ -410,6 +410,39 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms
 
 
+#: Bytes of one gathered operand per chunk of :func:`edge_dot_products`.
+#: Both operands of a chunk then stay in cache, instead of a whole
+#: block's gathered rows streaming through memory once per round.
+GATHER_CHUNK_BYTES = 1 << 18
+
+
+def edge_dot_products(source_states, target_states, rows: np.ndarray,
+                      cols: np.ndarray, dtype) -> np.ndarray:
+    """Round-averaged dot product of every edge ``(rows[e], cols[e])``, float64.
+
+    Each edge is one ``einsum`` over its own two rows per round, summed
+    over the rounds in order from a ``dtype`` zero, then averaged in
+    float64.  Rows are gathered a chunk of edges at a time
+    (``GATHER_CHUNK_BYTES`` per operand), so the transient is
+    ``O(chunk · d)`` instead of ``O(edges · d)``; no edge's value depends
+    on which edges share its chunk, so the chunking moves no bit.
+    """
+    num_rounds = len(source_states)
+    row_bytes = source_states[0].shape[1] * source_states[0].dtype.itemsize
+    chunk = max(1, GATHER_CHUNK_BYTES // max(1, row_bytes))
+    values = np.empty(len(rows), dtype=np.float64)
+    for lo in range(0, len(rows), chunk):
+        chunk_rows, chunk_cols = rows[lo:lo + chunk], cols[lo:lo + chunk]
+        total = np.zeros(len(chunk_rows), dtype=dtype)
+        for source, target in zip(source_states, target_states):
+            total = total + np.einsum("ed,ed->e", source[chunk_rows],
+                                      target[chunk_cols])
+        values[lo:lo + chunk] = total
+    if num_rounds > 1:
+        values /= num_rounds
+    return values
+
+
 def _concat_states(states) -> np.ndarray:
     """Round-concatenated normalised embeddings.
 
@@ -690,7 +723,8 @@ class IVFIndex:
             rows = np.repeat(active, counts)
             if len(cols):
                 count_dot_products(len(cols))
-                values = np.einsum("ed,ed->e", queries[rows], self.vectors[cols])
+                values = edge_dot_products([queries], [self.vectors], rows,
+                                           cols, np.float64)
                 np.maximum.at(best, rows, values)
                 collected_rows.append(rows)
                 collected_cols.append(cols)

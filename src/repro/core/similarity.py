@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ann import RowCandidates, _normalize_rows, count_dot_products
+from .ann import (RowCandidates, _normalize_rows, count_dot_products,
+                  edge_dot_products)
 
 __all__ = [
     "TopKSimilarity",
@@ -540,6 +541,28 @@ def topk_from_partial(partial: PartialTopK, shape: tuple[int, int], *,
     )
 
 
+def column_max_cells(cols: np.ndarray, values: np.ndarray,
+                     num_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The best cell of each column among cells ``(cols[e], values[e])``.
+
+    Returns ``(columns, cells)``: ``cells[i]`` is the lowest cell index
+    holding column ``columns[i]``'s maximum value — the lowest source row
+    when the cells are in row order.  Two scatter passes replace a sort of
+    every cell: ``np.fmax.at`` takes each column's maximum (NaN never
+    wins) and ``np.minimum.at`` the first cell at it.  Columns without a
+    cell, or with only NaN cells, are left out.  Callers read the winner's
+    own ``values[cells]``: ``-0.0`` ties ``0.0``, and only the winning
+    cell says which of the two it holds.
+    """
+    peak = np.full(num_cols, -np.inf, dtype=np.float64)
+    np.fmax.at(peak, cols, values)
+    at_max = np.flatnonzero(values == peak[cols])
+    first = np.full(num_cols, len(values), dtype=np.int64)
+    np.minimum.at(first, cols[at_max], at_max)
+    columns = np.flatnonzero(first < len(values))
+    return columns, first[columns]
+
+
 def compute_partial_topk_candidates(source_norm: list[np.ndarray],
                                     target_norm: list[np.ndarray],
                                     row_candidates: RowCandidates,
@@ -551,10 +574,12 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
     ``row_candidates`` must already be padded to ``k_keep`` (row-local, so
     padding before or after sharding is equivalent).  Each candidate cell
     is one per-edge ``einsum`` dot product per round, computed from that
-    cell's own source and target rows only, so neither shard membership
-    nor which other rows share the call (a served row subset, an
-    incremental re-decode) can change a value.  The kernel meters nothing:
-    the caller charges ``computed_cells``.
+    cell's own source and target rows only
+    (:func:`~repro.core.ann.edge_dot_products` gathers them in cache-sized
+    chunks of edges), so neither shard membership, nor the chunking, nor
+    which other rows share the call (a served row subset, an incremental
+    re-decode) can change a value.  The kernel meters nothing: the caller
+    charges ``computed_cells``.
     """
     dtype = np.dtype(dtype)
     indptr, cand_indices = row_candidates.indptr, row_candidates.indices
@@ -572,19 +597,12 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
         stop = min(start + block_size, row_stop)
         num_rows = stop - start
         local = start - row_start
-        lo, hi = indptr[start], indptr[stop]
-        cols = cand_indices[lo:hi]
+        cols = cand_indices[indptr[start]:indptr[stop]]
         counts = np.diff(indptr[start:stop + 1])
         rows_local = np.repeat(np.arange(num_rows), counts)
         computed += len(cols) * num_rounds
-        values = np.zeros(len(cols), dtype=dtype)
-        for round_index in range(num_rounds):
-            values = values + np.einsum(
-                "ed,ed->e", source_norm[round_index][start + rows_local],
-                target_norm[round_index][cols])
-        values = np.asarray(values, dtype=np.float64)
-        if num_rounds > 1:
-            values = values / num_rounds
+        values = edge_dot_products([state[start:stop] for state in source_norm],
+                                   target_norm, rows_local, cols, dtype)
 
         # (a) per-row top-k over the candidate cells.  Rows are padded into
         # a (num_rows, width) matrix with -inf sentinels; every row holds at
@@ -612,18 +630,13 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
         indices[local:local + num_rows, 0] = cand_ids[np.arange(num_rows), first]
 
         # (b) running column max/argmax over the computed cells only.  Per
-        # column pick the block's best value with the lowest source row,
-        # then apply the strictly-greater cross-block update.
-        if len(cols):
-            group = np.lexsort((rows_local, -values, cols))
-            grouped_cols = cols[group]
-            leaders = np.ones(len(group), dtype=bool)
-            leaders[1:] = grouped_cols[1:] != grouped_cols[:-1]
-            lead = group[leaders]
-            lead_cols = cols[lead]
-            improved = values[lead] > col_max[lead_cols]
-            col_max[lead_cols[improved]] = values[lead][improved]
-            col_argmax[lead_cols[improved]] = start + rows_local[lead][improved]
+        # column pick the block's best cell (cells are in row order, so the
+        # lowest source row wins ties), then apply the strictly-greater
+        # cross-block update.
+        lead_cols, lead = column_max_cells(cols, values, num_cols)
+        improved = values[lead] > col_max[lead_cols]
+        col_max[lead_cols[improved]] = values[lead][improved]
+        col_argmax[lead_cols[improved]] = start + rows_local[lead][improved]
 
     return PartialTopK(
         rows=np.arange(row_start, row_stop, dtype=np.int64),

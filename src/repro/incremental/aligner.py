@@ -47,7 +47,8 @@ from ..core.ann import (IVFIndex, RowCandidates, _concat_states,
 from ..core.config import DEFAULT_ENCODE_BATCH
 from ..core.model import encode_sampled
 from ..core.similarity import (DEFAULT_BLOCK_SIZE, PartialTopK,
-                               TopKSimilarity, compute_partial_topk_candidates,
+                               TopKSimilarity, column_max_cells,
+                               compute_partial_topk_candidates,
                                merge_partials, topk_from_partial)
 from ..kg.sampling import flat_row_positions
 from ..nn import Parameter
@@ -474,7 +475,7 @@ class IncrementalAligner:
         kept = np.flatnonzero(~redecode)
         if len(kept):
             merged = merge_partials(
-                self._retained_shard(old_table, kept, n_s_new, n_t_new),
+                self._retained_shard(old_table, kept, n_t_new),
                 partial)
         else:
             merged = partial
@@ -487,7 +488,7 @@ class IncrementalAligner:
 
     @staticmethod
     def _retained_shard(old_table: TopKSimilarity, kept: np.ndarray,
-                        n_s_new: int, n_t_new: int) -> PartialTopK:
+                        n_t_new: int) -> PartialTopK:
         """The surviving rows of the cached table as a mergeable shard.
 
         Column statistics are rebuilt from the kept rows' surviving top-k
@@ -501,15 +502,10 @@ class IncrementalAligner:
         scores = np.asarray(old_table.scores[kept], dtype=np.float64)
         col_max = np.full(n_t_new, -np.inf, dtype=np.float64)
         col_argmax = np.zeros(n_t_new, dtype=np.int64)
-        flat_cols = indices.ravel()
         flat_scores = scores.ravel()
-        np.maximum.at(col_max, flat_cols, flat_scores)
-        rows_rep = np.repeat(kept.astype(np.int64), indices.shape[1])
-        at_max = flat_scores == col_max[flat_cols]
-        best_row = np.full(n_t_new, n_s_new, dtype=np.int64)
-        np.minimum.at(best_row, flat_cols[at_max], rows_rep[at_max])
-        filled = best_row < n_s_new
-        col_argmax[filled] = best_row[filled]
+        columns, cells = column_max_cells(indices.ravel(), flat_scores, n_t_new)
+        col_max[columns] = flat_scores[cells]
+        col_argmax[columns] = kept[cells // indices.shape[1]]
         return PartialTopK(rows=kept.astype(np.int64), indices=indices,
                            scores=scores, col_max=col_max,
                            col_argmax=col_argmax, col_top=None, csls_k_col=0,

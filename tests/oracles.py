@@ -7,6 +7,9 @@ straightforward formulations collected here:
   blockwise top-k, approximate candidate decodes — against dense
   similarity matrices, per-test-pair Python loops, full ``np.sort``
   reductions and quadratic scans;
+* the candidate gather — chunked per-edge dot products and the scatter
+  column max — against one unchunked gather of every edge and a
+  ``np.lexsort`` of every cell;
 * the CSR graph operators — adjacency, normalisation, Laplacian, both
   Dirichlet-energy forms, Semantic Propagation, the Prop. 4 closed form and
   the edge-list GAT — against the paper's dense ``n x n`` formulas;
@@ -30,6 +33,9 @@ import scipy.sparse as sp
 
 from repro.autograd import Tensor, softmax
 from repro.autograd.tensor import _unbroadcast
+from repro.core.ann import RowCandidates
+from repro.core.similarity import PartialTopK
+from repro.kg.sampling import flat_row_positions
 
 __all__ = [
     "reference_similarity",
@@ -37,6 +43,8 @@ __all__ = [
     "reference_csls",
     "reference_mutual_pairs",
     "reference_topk",
+    "reference_candidate_topk",
+    "reference_escalated_candidates",
     "reference_adjacency",
     "reference_normalized_adjacency",
     "reference_laplacian",
@@ -156,6 +164,128 @@ def reference_topk(similarity, k: int) -> tuple[np.ndarray, np.ndarray]:
         indices[row] = order
         scores[row] = similarity[row][order]
     return indices, scores
+
+
+def _unchunked_edge_values(source_states, target_states, rows, cols, dtype):
+    """Round-averaged per-edge dot products from one gather of every edge."""
+    values = np.zeros(len(cols), dtype=dtype)
+    for source, target in zip(source_states, target_states):
+        values = values + np.einsum("ed,ed->e", source[rows], target[cols])
+    values = np.asarray(values, dtype=np.float64)
+    if len(source_states) > 1:
+        values = values / len(source_states)
+    return values
+
+
+def reference_candidate_topk(source_norm, target_norm, row_candidates,
+                             row_start: int, row_stop: int, k_keep: int,
+                             block_size: int, dtype) -> PartialTopK:
+    """The candidate kernel as a gather of every edge and a sort of every cell.
+
+    Every edge of rows ``[row_start, row_stop)`` is gathered at once (one
+    ``einsum`` per round over all of them), each block's column max is the
+    leader of a ``np.lexsort`` by (column, value desc, row asc), and each
+    row keeps its ``k_keep`` cells by (score desc, id asc) with position 0
+    the first-index maximiser — the arithmetic
+    ``compute_partial_topk_candidates`` must reproduce bit for bit.
+    """
+    indptr, cand_indices = row_candidates.indptr, row_candidates.indices
+    num_cols = row_candidates.num_columns
+    total_rows = row_stop - row_start
+    all_counts = np.diff(indptr[row_start:row_stop + 1])
+    all_values = _unchunked_edge_values(
+        source_norm, target_norm,
+        np.repeat(np.arange(row_start, row_stop), all_counts),
+        cand_indices[indptr[row_start]:indptr[row_stop]], dtype)
+
+    indices = np.empty((total_rows, k_keep), dtype=np.int64)
+    scores = np.empty((total_rows, k_keep), dtype=np.float64)
+    col_max = np.full(num_cols, -np.inf, dtype=np.float64)
+    col_argmax = np.zeros(num_cols, dtype=np.int64)
+    for start in range(row_start, row_stop, block_size):
+        stop = min(start + block_size, row_stop)
+        num_rows = stop - start
+        local = start - row_start
+        lo, hi = indptr[start], indptr[stop]
+        cols = cand_indices[lo:hi]
+        counts = np.diff(indptr[start:stop + 1])
+        rows_local = np.repeat(np.arange(num_rows), counts)
+        offset = indptr[row_start]
+        values = all_values[lo - offset:hi - offset]
+
+        width = int(counts.max()) if num_rows else 0
+        block = np.full((num_rows, width), -np.inf, dtype=np.float64)
+        cand_ids = np.zeros((num_rows, width), dtype=np.int64)
+        pos_in_row = np.arange(len(cols)) - np.repeat(np.cumsum(counts) - counts,
+                                                      counts)
+        block[rows_local, pos_in_row] = values
+        cand_ids[rows_local, pos_in_row] = cols
+        if k_keep < width:
+            part = np.argpartition(block, width - k_keep, axis=1)[:, width - k_keep:]
+        else:
+            part = np.broadcast_to(np.arange(width), block.shape).copy()
+        part_scores = np.take_along_axis(block, part, axis=1)
+        part_ids = np.take_along_axis(cand_ids, part, axis=1)
+        order = np.lexsort((part_ids, -part_scores))
+        indices[local:local + num_rows] = np.take_along_axis(part_ids, order, axis=1)
+        scores[local:local + num_rows] = np.take_along_axis(part_scores, order, axis=1)
+        first = block.argmax(axis=1)
+        indices[local:local + num_rows, 0] = cand_ids[np.arange(num_rows), first]
+
+        if len(cols):
+            group = np.lexsort((rows_local, -values, cols))
+            grouped_cols = cols[group]
+            leaders = np.ones(len(group), dtype=bool)
+            leaders[1:] = grouped_cols[1:] != grouped_cols[:-1]
+            lead = group[leaders]
+            lead_cols = cols[lead]
+            improved = values[lead] > col_max[lead_cols]
+            col_max[lead_cols[improved]] = values[lead][improved]
+            col_argmax[lead_cols[improved]] = start + rows_local[lead][improved]
+
+    return PartialTopK(
+        rows=np.arange(row_start, row_stop, dtype=np.int64),
+        indices=indices, scores=scores, col_max=col_max,
+        col_argmax=col_argmax, col_top=None, csls_k_col=0,
+        computed_cells=int(all_counts.sum()) * len(source_norm))
+
+
+def reference_escalated_candidates(index, queries, slack: float = 0.0) -> RowCandidates:
+    """``IVFIndex.escalated_candidates`` with one gather of every probed edge.
+
+    Each probe position gathers the query and vector rows of all its edges
+    at once, as the index did before its dot products were chunked.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    scores = queries @ index.centroids.T
+    order = np.argsort(-scores, axis=1)
+    norms = np.linalg.norm(queries, axis=1)
+    bounds = (np.take_along_axis(scores, order, axis=1)
+              + norms[:, None] * index.radii[order])
+    suffix_max = np.maximum.accumulate(bounds[:, ::-1], axis=1)[:, ::-1]
+    best = np.full(len(queries), -np.inf)
+    active = np.arange(len(queries))
+    all_rows, all_cols = [], []
+    for position in range(index.n_clusters):
+        if len(active) == 0:
+            break
+        clusters = order[active, position]
+        starts = index.bucket_indptr[clusters]
+        counts = index.bucket_indptr[clusters + 1] - starts
+        cols = index.bucket_indices[flat_row_positions(starts, counts)]
+        rows = np.repeat(active, counts)
+        if len(cols):
+            values = np.einsum("ed,ed->e", queries[rows], index.vectors[cols])
+            np.maximum.at(best, rows, values)
+            all_rows.append(rows)
+            all_cols.append(cols)
+        if position + 1 >= index.n_clusters:
+            break
+        done = best[active] >= suffix_max[active, position + 1] - slack
+        active = active[~done]
+    return RowCandidates.from_pairs(np.concatenate(all_rows),
+                                    np.concatenate(all_cols), len(queries),
+                                    len(index.vectors))
 
 
 # ---------------------------------------------------------------------------
