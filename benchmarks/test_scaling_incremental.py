@@ -24,9 +24,12 @@ Guards:
 * a zero-sized delta between batches is a bit-exact no-op;
 * per-batch ingest wall-clock stays well under the full re-fit;
 * a trailing single-entity ingest re-encodes / re-decodes a handful of
-  rows — the counters track the delta's receptive field, not ``n``
-  (batch ingests re-decode more because ~30% new targets dirty most IVF
-  buckets, but still strictly less than five full tables);
+  rows — the counters track the delta's receptive field, not ``n``;
+* the five batch ingests re-decode in full less than half of five tables
+  (0.21 at smoke scale): their ~30% new targets dirty most IVF buckets,
+  but an unmoved row only scores its dirty cells and merges them into its
+  stored top-k, so only new rows, moved rows and rows whose stored top-k
+  lost or demoted a member are re-decoded whole;
 * streamed H@1 never degrades below the base artifact and stays within
   the larger of 1.0 point and the test-set quantum (one test pair is
   ``1/num_test`` — at smoke scale that is bigger than a point) of the
@@ -335,12 +338,13 @@ def test_streamed_growth_vs_refit(benchmark):
         report
     # Work tracks the delta, not n.  The single-entity tail ingest is the
     # clean measurement: its receptive field is a handful of rows.  The
-    # batch ingests re-decode more (each batch's ~30% new targets dirty
-    # most IVF buckets) yet still strictly less than five full tables, and
-    # the warm encode stays well under 5 x 2n rows.
+    # batch ingests dirty cells in most rows (each batch's ~30% new targets
+    # land in most IVF buckets), but a row re-decodes in full only when
+    # its merge cannot stand, so less than half of five tables; the warm
+    # encode stays well under 5 x 2n rows.
     assert report["tail_rows_decoded"] <= max(4, 0.1 * (entities + 1)), report
     assert report["tail_rows_encoded"] <= max(8, 0.05 * 2 * entities), report
-    assert report["decoded_fraction"] < 0.9, report
+    assert report["decoded_fraction"] < 0.5, report
     assert report["total_rows_encoded"] < 0.4 * NUM_BATCHES * 2 * entities, \
         report
     # Quality: streaming never degrades the base artifact, and lands within

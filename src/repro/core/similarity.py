@@ -10,7 +10,7 @@ block-partitioned matmul engine that walks source rows in
 configurable chunks and, per block, reduces immediately to
 
 * the exact top-``k`` neighbours and scores of every source row
-  (``np.argpartition`` + a deterministic (score desc, index asc) sort),
+  in (score desc, index asc) order, ties at the k-th score included,
 * the running column max / argmax needed for mutual-NN selection, and
 * the row/column k-NN mean similarities needed for CSLS,
 
@@ -69,7 +69,9 @@ class TopKSimilarity:
 
     ``indices`` / ``scores`` hold, per source row, the ``k`` best target
     entities sorted by descending score with ties broken by ascending
-    target id (matching ``np.argmax`` semantics in position 0).
+    target id — also across the k-th place, so a row is the first ``k``
+    of its full (score desc, id asc) sort and position 0 is its
+    ``np.argmax``.
 
     ``approximate`` marks a decode restricted to per-row candidate sets
     (``row_candidates``): uncomputed cells are unknown, so the exact-row
@@ -292,6 +294,28 @@ def merge_partial_topk(partials) -> PartialTopK:
     return merged
 
 
+def _select_topk(block: np.ndarray, k_keep: int) -> np.ndarray:
+    """Column positions of each row's ``k_keep`` best cells, ties to the lowest.
+
+    ``np.argpartition`` keeps an arbitrary subset of the cells that tie the
+    k-th score.  A row holding more than ``k_keep`` cells at or above its
+    k-th score has such a tie across the boundary; only those rows are
+    re-selected, by a stable sort of the whole row, so every row keeps the
+    canonical (score desc, position asc) set — the set a full sort keeps.
+    Position 0 of the sorted selection is then the row's first-index
+    ``argmax``.
+    """
+    width = block.shape[1]
+    if k_keep >= width:
+        return np.broadcast_to(np.arange(width), block.shape).copy()
+    part = np.argpartition(block, width - k_keep, axis=1)[:, width - k_keep:]
+    kth = np.take_along_axis(block, part[:, :1], axis=1)
+    tied = np.flatnonzero(np.count_nonzero(block >= kth, axis=1) > k_keep)
+    if len(tied):
+        part[tied] = np.argsort(-block[tied], axis=1, kind="stable")[:, :k_keep]
+    return part
+
+
 def compute_partial_topk(source_norm: list[np.ndarray],
                          target_norm: list[np.ndarray],
                          row_start: int, row_stop: int,
@@ -327,20 +351,13 @@ def compute_partial_topk(source_norm: list[np.ndarray],
         if num_rounds > 1:
             block = block / num_rounds
 
-        # (a) exact row top-k: partial selection then a deterministic
-        # (score desc, target id asc) sort so position 0 matches argmax.
-        if k_keep < num_cols:
-            part = np.argpartition(block, num_cols - k_keep, axis=1)[:, num_cols - k_keep:]
-        else:
-            part = np.broadcast_to(np.arange(num_cols), block.shape).copy()
+        # (a) exact row top-k: the canonical selection, then a
+        # (score desc, target id asc) sort of it.
+        part = _select_topk(block, k_keep)
         part_scores = np.take_along_axis(block, part, axis=1)
         order = np.lexsort((part, -part_scores))
         indices[local:local + (stop - start)] = np.take_along_axis(part, order, axis=1)
         scores[local:local + (stop - start)] = np.take_along_axis(part_scores, order, axis=1)
-        # When the maximum is tied across more than k columns, argpartition
-        # may omit the first-index maximiser; position 0 must nevertheless
-        # carry exact np.argmax(axis=1) semantics for mutual-NN selection.
-        indices[local:local + (stop - start), 0] = block.argmax(axis=1)
 
         # (b) running column max / argmax; strictly-greater update keeps the
         # first (lowest source id) maximiser, matching np.argmax(axis=0).
@@ -382,7 +399,8 @@ def blockwise_topk(source, target, k: int = 10,
         cosine similarities are averaged (the paper's decoding rule).  Rows
         are L2-normalised once up front, in float64.
     k:
-        Neighbours kept per source row (exact, via ``np.argpartition``).
+        Neighbours kept per source row: the first ``k`` of the row's full
+        (score desc, id asc) sort.
     block_size:
         Source rows per streamed block; peak transient memory is
         ``O(block_size · n_t)``.
@@ -614,20 +632,14 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
                                                       counts)
         block[rows_local, pos_in_row] = values
         cand_ids[rows_local, pos_in_row] = cols
-        if k_keep < width:
-            part = np.argpartition(block, width - k_keep, axis=1)[:, width - k_keep:]
-        else:
-            part = np.broadcast_to(np.arange(width), block.shape).copy()
+        # Candidates ascend within a row, so the lowest position among
+        # tied cells is the lowest target id.
+        part = _select_topk(block, k_keep)
         part_scores = np.take_along_axis(block, part, axis=1)
         part_ids = np.take_along_axis(cand_ids, part, axis=1)
         order = np.lexsort((part_ids, -part_scores))
         indices[local:local + num_rows] = np.take_along_axis(part_ids, order, axis=1)
         scores[local:local + num_rows] = np.take_along_axis(part_scores, order, axis=1)
-        # Candidates ascend within a row, so the padded matrix's argmax is
-        # the first-index maximiser over the computed cells — the same
-        # position-0 contract the exhaustive engine keeps for mutual-NN.
-        first = block.argmax(axis=1)
-        indices[local:local + num_rows, 0] = cand_ids[np.arange(num_rows), first]
 
         # (b) running column max/argmax over the computed cells only.  Per
         # column pick the block's best cell (cells are in row order, so the

@@ -16,11 +16,14 @@ re-fit.  One :meth:`ingest` runs the delta lifecycle:
    re-assigned in place); a staleness counter triggers periodic
    re-quantisation via subsampled k-means warm-started from the current
    centroids;
-4. **selective re-decode**: top-k rows are recomputed only where the
-   candidate sets changed (new rows, rows whose states moved, rows whose
-   IVF buckets gained or lost members) and merged into the cached decode
-   table with the sharded-decode :func:`~repro.core.similarity.merge_partials`
-   reducer;
+4. **selective re-decode**: an old row whose states did not move scores
+   only its dirty cells — new or moved targets, and targets that entered
+   its candidate set (padding included) — and merges them into its stored
+   top-k by (score desc, id asc); the merge stands when its k-th entry
+   ranks at or above the stored k-th entry.  New rows, rows whose states
+   moved and rows whose merge fails the boundary rule are re-decoded in
+   full, and the two shards are joined with the sharded-decode
+   :func:`~repro.core.similarity.merge_partials` reducer;
 5. the result is a fresh :class:`~repro.pipeline.Aligner` (optionally
    persisted with :meth:`~repro.pipeline.Aligner.save`) ready for the
    serving engine's prewarm–drain–swap promotion.
@@ -29,9 +32,13 @@ Every step calls the function fit runs for the same job (side
 preparation, imputation draw, sampled encode, propagation, IVF build,
 candidate kernel) rather than a mirror of it, so ingest cannot drift from
 fit.  A zero-sized delta is a bit-exact no-op: the current aligner is
-returned untouched.  Work is proportional to the delta — the per-ingest
-counters (``rows_encoded`` / ``rows_decoded``) expose exactly how many
-rows each stage recomputed.
+returned untouched.  Encoding and decoding follow the delta: the warm
+encode covers its receptive field, and the decode computes the cells it
+dirtied plus the rows it re-decodes in full.  ``rows_encoded`` and
+``rows_decoded`` (full-row re-decodes) count those rows, and every
+computed cell is charged to :func:`~repro.core.ann.flops_counter`.  The
+probe, the normalisation, the changed-row scan and propagation still
+visit every row.
 """
 
 from __future__ import annotations
@@ -43,14 +50,15 @@ from pathlib import Path
 import numpy as np
 
 from ..core.ann import (IVFIndex, RowCandidates, _concat_states,
-                        _normalize_rows, count_dot_products, resolve_ann)
+                        _normalize_rows, count_dot_products,
+                        edge_dot_products, resolve_ann)
 from ..core.config import DEFAULT_ENCODE_BATCH
 from ..core.model import encode_sampled
 from ..core.similarity import (DEFAULT_BLOCK_SIZE, PartialTopK,
-                               TopKSimilarity, column_max_cells,
+                               TopKSimilarity, blockwise_topk,
+                               column_max_cells,
                                compute_partial_topk_candidates,
                                merge_partials, topk_from_partial)
-from ..kg.sampling import flat_row_positions
 from ..nn import Parameter
 from ..pipeline.facade import Aligner
 from ..pipeline.spec import CUSTOM_DATASET, DeltaSpec
@@ -70,7 +78,8 @@ class IngestReport:
     num_new_target: int = 0
     #: Rows whose evaluation embedding was recomputed (both sides).
     rows_encoded: int = 0
-    #: Source rows whose top-k entry was recomputed.
+    #: Source rows re-decoded in full; merged rows compute only their
+    #: dirty cells, which are charged to ``flops_counter``.
     rows_decoded: int = 0
     refit: bool = False
     noop: bool = False
@@ -88,29 +97,102 @@ class IngestReport:
         }
 
 
-def _rows_with_changed_candidates(old: RowCandidates, new: RowCandidates,
-                                  num_old_rows: int) -> np.ndarray:
-    """Boolean mask over the *old* rows whose candidate row differs.
+def _member(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` occurs in the ascending array ``keys``.
 
-    Exact CSR diff, fully vectorised: rows with different candidate counts
-    differ outright; equal-count rows are compared by one flat gather of
-    both structures (candidate ids are sorted ascending within a row, so
-    elementwise comparison is a set comparison).
+    ``np.isin`` would hash both arrays; on ingest's ~170k candidate keys
+    it took ~150 ms per merge against ~5 ms for this search.
     """
-    changed = np.zeros(num_old_rows, dtype=bool)
-    old_counts = np.diff(old.indptr)[:num_old_rows]
-    new_counts = np.diff(new.indptr)[:num_old_rows]
-    changed |= old_counts != new_counts
-    same = np.flatnonzero(~changed)
-    if len(same):
-        counts = old_counts[same]
-        old_flat = old.indices[flat_row_positions(old.indptr[same], counts)]
-        new_flat = new.indices[flat_row_positions(new.indptr[same], counts)]
-        mismatch = old_flat != new_flat
-        if mismatch.any():
-            rows_rep = np.repeat(same, counts)
-            changed[np.unique(rows_rep[mismatch])] = True
-    return changed
+    found = np.searchsorted(keys, values)
+    hit = found < len(keys)
+    hit[hit] = keys[found[hit]] == values[hit]
+    return hit
+
+
+def _merge_dirty_cells(old_table: TopKSimilarity, old_padded: RowCandidates,
+                       padded: RowCandidates, src_norm, tgt_norm,
+                       rows: np.ndarray, dirty_target: np.ndarray):
+    """Re-decode ``rows`` from their dirty cells; return the rows that merged.
+
+    ``rows`` are old source rows whose states did not change, and
+    ``old_padded`` / ``padded`` the candidate sets the old table and the
+    new decode score (both padded to the table's width ``k``).  A row's
+    dirty cells are its new candidates whose target is new or moved
+    (``dirty_target``) or that were not an old candidate; each is one
+    :func:`~repro.core.ann.edge_dot_products` edge, the decode's own
+    per-edge kernel, so it carries the bits a full decode gives it.  Every
+    other new candidate was scored before with the same bits.  The row's
+    stored entries that are still candidates and did not move are merged
+    with its dirty cells by (score desc, id asc).
+
+    The old cells that were not stored rank below the stored k-th entry,
+    because the stored row is the canonical top-k of its old candidates.
+    So the merged row is the full decode's row whenever its k-th entry
+    ranks at or above the stored k-th entry.  Returns
+    ``(merged_rows, indices, scores, cells)`` for the rows where that
+    holds, ``cells`` counting every dot product computed; every other row
+    of ``rows`` must be re-decoded in full.
+    """
+    k_keep = old_table.indices.shape[1]
+    num_cols = padded.num_columns
+    new = padded.select_rows(rows)
+    old = old_padded.select_rows(rows)
+    local = np.arange(len(rows))
+    new_rows = np.repeat(local, new.counts)
+    new_keys = new_rows * num_cols + new.indices
+    old_keys = np.repeat(local, old.counts) * num_cols + old.indices
+    dirty = dirty_target[new.indices] | ~_member(new_keys, old_keys)
+
+    stored_ids = np.asarray(old_table.indices[rows], dtype=np.int64)
+    stored_scores = np.asarray(old_table.scores[rows], dtype=np.float64)
+    stays = (~dirty_target[stored_ids]
+             & _member(local[:, None] * num_cols + stored_ids, new_keys))
+
+    dirty_rows, dirty_cols = new_rows[dirty], new.indices[dirty]
+    values = edge_dot_products(src_norm, tgt_norm, rows[dirty_rows],
+                               dirty_cols, np.float64)
+    cells = len(values) * len(src_norm)
+    count_dot_products(cells)
+
+    cell_rows = np.concatenate([np.nonzero(stays)[0], dirty_rows])
+    cell_ids = np.concatenate([stored_ids[stays], dirty_cols])
+    cell_scores = np.concatenate([stored_scores[stays], values])
+    order = np.lexsort((cell_ids, -cell_scores, cell_rows))
+    counts = np.bincount(cell_rows, minlength=len(rows))
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(len(order)) - starts[cell_rows[order]]
+    filled = counts >= k_keep
+    take = order[(rank < k_keep) & filled[cell_rows[order]]]
+    indices = cell_ids[take].reshape(-1, k_keep)
+    scores = cell_scores[take].reshape(-1, k_keep)
+
+    # Boundary rule: the merged k-th entry ranks at or above the stored one.
+    kth_ids = stored_ids[filled, -1]
+    kth_scores = stored_scores[filled, -1]
+    holds = ((scores[:, -1] > kth_scores)
+             | ((scores[:, -1] == kth_scores) & (indices[:, -1] <= kth_ids)))
+    return rows[filled][holds], indices[holds], scores[holds], cells
+
+
+def _merged_shard(rows: np.ndarray, indices: np.ndarray, scores: np.ndarray,
+                  cells: int, n_t_new: int) -> PartialTopK:
+    """The merged rows of the table as a mergeable shard.
+
+    Column statistics are rebuilt from these rows' top-k entries (ties
+    resolved to the lowest source row, the merge's convention).  Cells
+    computed by an earlier decode that fell outside a row's top-k are gone,
+    so the merged ``col_max`` is a lower bound on the exact column maximum
+    — the row-wise data every evaluation and serving path reads is exact.
+    """
+    col_max = np.full(n_t_new, -np.inf, dtype=np.float64)
+    col_argmax = np.zeros(n_t_new, dtype=np.int64)
+    flat_scores = scores.ravel()
+    columns, cells = column_max_cells(indices.ravel(), flat_scores, n_t_new)
+    col_max[columns] = flat_scores[cells]
+    col_argmax[columns] = rows[cells // indices.shape[1]]
+    return PartialTopK(rows=rows.astype(np.int64), indices=indices,
+                       scores=scores, col_max=col_max, col_argmax=col_argmax,
+                       col_top=None, csls_k_col=0, computed_cells=cells)
 
 
 class IncrementalAligner:
@@ -238,8 +320,8 @@ class IncrementalAligner:
         src_states, tgt_states = self.model.states_from_embeddings(
             src_raw, tgt_raw, self.spec.decode.use_propagation)
 
-        # Exact changed-row bookkeeping: a row re-decodes only if any of
-        # its per-round states actually moved.
+        # Exact changed-row bookkeeping: a row's stored cells stay valid
+        # only if none of its per-round states moved.
         n_s_old, n_t_old = app.num_source_before, app.num_target_before
         changed_src = self._changed_rows(src_states, self._states[0], n_s_old)
         changed_tgt = self._changed_rows(tgt_states, self._states[1], n_t_old)
@@ -248,11 +330,13 @@ class IncrementalAligner:
         tgt_norm = [_normalize_rows(s) for s in tgt_states]
 
         if self._ivf is not None:
-            refit = self._update_index(tgt_states, changed_tgt, n_t_old)
-            candidates = self._recompute_candidates(src_states)
+            refit = self._update_index(np.concatenate(tgt_norm, axis=1),
+                                       changed_tgt, n_t_old)
+            candidates = self._recompute_candidates(
+                np.concatenate(src_norm, axis=1))
             table, rows_decoded = self._selective_redecode(
-                candidates, src_norm, tgt_norm, changed_src, changed_tgt,
-                n_s_old, full=refit)
+                self._table, self._candidates, candidates, src_norm, tgt_norm,
+                changed_src, changed_tgt, self.spec.decode.k, full=refit)
         else:
             refit = False
             candidates, table = None, None
@@ -372,15 +456,16 @@ class IncrementalAligner:
     # ------------------------------------------------------------------
     # Step 3: online IVF maintenance
     # ------------------------------------------------------------------
-    def _update_index(self, tgt_states: list[np.ndarray],
-                      changed_tgt: np.ndarray, n_t_old: int) -> bool:
+    def _update_index(self, concat: np.ndarray, changed_tgt: np.ndarray,
+                      n_t_old: int) -> bool:
         """Insert / re-assign target vectors; refit when staleness trips.
 
-        Returns whether a re-quantisation ran (in which case every bucket
-        may have changed and the caller re-decodes in full).
+        ``concat`` is the round-concatenated normalised target table
+        (:func:`~repro.core.ann._concat_states` of the states).  Returns
+        whether a re-quantisation ran (in which case every bucket may have
+        changed and the caller re-decodes in full).
         """
         index = self._ivf
-        concat = _concat_states(tgt_states)
         moved = np.flatnonzero(changed_tgt)
         pending = len(moved) + (len(concat) - n_t_old)
         if (index.num_inserted + pending
@@ -412,18 +497,18 @@ class IncrementalAligner:
             index.rebuild_buckets()
         return False
 
-    def _recompute_candidates(self, src_states: list[np.ndarray]):
+    def _recompute_candidates(self, concat: np.ndarray):
         """All candidate rows against the updated index (O(n·K) probing).
 
-        Unchanged source rows provably keep their candidate row whenever
-        their probed buckets kept their members: identical queries against
-        identical centroids select identical buckets, so the CSR diff in
-        the re-decode step finds exactly the rows whose sets moved.
-        Probing then ``min_candidates`` padding is what
-        ``generate_candidates`` does at fit time against the fitted index.
+        ``concat`` is the round-concatenated normalised source table.
+        Unchanged source rows probe the same buckets (identical queries
+        against identical centroids), so their candidate rows change only
+        where a bucket gained or lost members — the cells the re-decode
+        step treats as dirty.  Probing then ``min_candidates`` padding is
+        what ``generate_candidates`` does at fit time against the fitted
+        index.
         """
-        result = self._ivf.candidates(_concat_states(src_states),
-                                      nprobe=self._ann.nprobe)
+        result = self._ivf.candidates(concat, nprobe=self._ann.nprobe)
         if self._ann.min_candidates is not None:
             result = result.padded(self._ann.min_candidates)
         return result
@@ -431,40 +516,49 @@ class IncrementalAligner:
     # ------------------------------------------------------------------
     # Step 4: selective re-decode + merge
     # ------------------------------------------------------------------
-    def _selective_redecode(self, candidates, src_norm, tgt_norm,
-                            changed_src: np.ndarray, changed_tgt: np.ndarray,
-                            n_s_old: int, *, full: bool
+    @staticmethod
+    def _selective_redecode(old_table: TopKSimilarity | None,
+                            old_candidates: RowCandidates,
+                            candidates: RowCandidates, src_norm, tgt_norm,
+                            changed_src: np.ndarray,
+                            changed_tgt: np.ndarray, k: int, *, full: bool
                             ) -> tuple[TopKSimilarity, int]:
+        """The decode table over ``candidates``; returns it and the rows re-decoded.
+
+        Old rows whose states did not change merge their dirty cells into
+        their stored top-k (:func:`_merge_dirty_cells`).  New rows, rows
+        whose states changed and rows the merge cannot prove are re-decoded
+        in full; so is every row after a refit, when the table's width
+        changes, or when the old candidates were complete.  Complete
+        candidates decode through the exhaustive GEMM scan (the rule of
+        :func:`~repro.core.similarity.blockwise_topk`), whose bits no
+        per-edge cell reproduces.
+        """
         n_s_new = len(src_norm[0])
         n_t_new = len(tgt_norm[0])
         n_t_old = len(changed_tgt)
-        k = self.spec.decode.k
+        if candidates.is_complete():
+            return blockwise_topk(src_norm, tgt_norm, k=k,
+                                  row_candidates=candidates,
+                                  pre_normalized=True), n_s_new
         k_keep = min(k, n_t_new)
-        old_table = self._table
+        padded = candidates.padded(k_keep)
 
-        redecode = np.zeros(n_s_new, dtype=bool)
-        redecode[n_s_old:] = True
-        redecode[:n_s_old] |= changed_src
-        if full or old_table is None or old_table.indices.shape[1] != k_keep:
-            # Refit, first ingest after an exhaustive fallback, or a k_keep
-            # width change (k > old target count): no mergeable base.
-            redecode[:] = True
-        else:
-            redecode[:n_s_old] |= _rows_with_changed_candidates(
-                self._candidates, candidates, n_s_old)
-            # Rows whose candidate set contains a moved target (same ids,
-            # different vectors) or a freshly inserted one.
+        redecode = np.ones(n_s_new, dtype=bool)
+        merged = None
+        if (not full and old_table is not None
+                and old_table.indices.shape[1] == k_keep
+                and not old_candidates.is_complete()):
             dirty_target = np.ones(n_t_new, dtype=bool)
             dirty_target[:n_t_old] = changed_tgt
-            rows_of = np.repeat(np.arange(n_s_new), candidates.counts)
-            hit = dirty_target[candidates.indices]
-            if hit.any():
-                redecode[np.unique(rows_of[hit])] = True
+            merged = _merge_dirty_cells(
+                old_table, old_candidates.padded(k_keep), padded, src_norm,
+                tgt_norm, np.flatnonzero(~changed_src), dirty_target)
+            redecode[merged[0]] = False
 
         rows = np.flatnonzero(redecode)
         partial = compute_partial_topk_candidates(
-            [s[rows] for s in src_norm], tgt_norm,
-            candidates.select_rows(rows).padded(k_keep),
+            [s[rows] for s in src_norm], tgt_norm, padded.select_rows(rows),
             0, len(rows), k_keep, DEFAULT_BLOCK_SIZE, np.float64)
         count_dot_products(partial.computed_cells)
         # Remap the shard-local row ids to global ids before merging.
@@ -472,44 +566,14 @@ class IncrementalAligner:
         touched = partial.col_max > -np.inf
         partial.col_argmax[touched] = rows[partial.col_argmax[touched]]
 
-        kept = np.flatnonzero(~redecode)
-        if len(kept):
-            merged = merge_partials(
-                self._retained_shard(old_table, kept, n_t_new),
-                partial)
-        else:
-            merged = partial
+        if merged is not None:
+            partial = merge_partials(_merged_shard(*merged, n_t_new), partial)
 
         table = topk_from_partial(
-            merged, (n_s_new, n_t_new),
+            partial, (n_s_new, n_t_new),
             csls_k=old_table.csls_k if old_table is not None else 10,
             dtype=np.float64, source_norm=src_norm, target_norm=tgt_norm)
         return table, len(rows)
-
-    @staticmethod
-    def _retained_shard(old_table: TopKSimilarity, kept: np.ndarray,
-                        n_t_new: int) -> PartialTopK:
-        """The surviving rows of the cached table as a mergeable shard.
-
-        Column statistics are rebuilt from the kept rows' surviving top-k
-        entries (ties resolved to the lowest source row, the merge's
-        convention).  Cells that were computed at decode time but fell
-        outside the kept top-k are gone, so the merged ``col_max`` is a
-        lower bound on the exact column maximum — the row-wise data every
-        evaluation and serving path reads is exact.
-        """
-        indices = np.asarray(old_table.indices[kept], dtype=np.int64)
-        scores = np.asarray(old_table.scores[kept], dtype=np.float64)
-        col_max = np.full(n_t_new, -np.inf, dtype=np.float64)
-        col_argmax = np.zeros(n_t_new, dtype=np.int64)
-        flat_scores = scores.ravel()
-        columns, cells = column_max_cells(indices.ravel(), flat_scores, n_t_new)
-        col_max[columns] = flat_scores[cells]
-        col_argmax[columns] = kept[cells // indices.shape[1]]
-        return PartialTopK(rows=kept.astype(np.int64), indices=indices,
-                           scores=scores, col_max=col_max,
-                           col_argmax=col_argmax, col_top=None, csls_k_col=0,
-                           computed_cells=0)
 
     # ------------------------------------------------------------------
     # Step 5: the promotable artifact

@@ -16,6 +16,7 @@ from repro.core.alignment import (
     greedy_one_to_one,
     mutual_nearest_pairs,
 )
+from repro.core.ann import RowCandidates
 from repro.core.similarity import TopKSimilarity, blockwise_topk
 from repro.eval.metrics import evaluate_alignment, ranks_from_similarity
 
@@ -92,6 +93,24 @@ class TestBlockwiseTopK:
         fast = blockwise_topk(source, target, k=5, block_size=8, dtype=np.float32)
         assert fast._source_norm[0].dtype == np.float32
         assert np.abs(exact.scores - fast.scores).max() < 1e-5
+
+    def test_ties_across_the_kth_place_keep_the_lowest_ids(self, embeddings):
+        """An all-zero row ties every cell at 0.0: it stores ids 0, 1, 2.
+
+        ``np.argpartition`` alone kept ``[0, 3, 4]`` here (and ``[0, 2, 3]``
+        over the candidates), an id set no full (score desc, id asc) sort
+        would keep.
+        """
+        source = np.zeros((1, 6))
+        target = embeddings[1][:5]
+        exhaustive = blockwise_topk(source, target, k=3, csls_k=3)
+        assert exhaustive.indices.tolist() == [[0, 1, 2]]
+        candidates = RowCandidates.from_pairs([0, 0, 0, 0], [0, 1, 2, 3], 1, 5)
+        restricted = blockwise_topk(source, target, k=3,
+                                    row_candidates=candidates)
+        assert restricted.indices.tolist() == [[0, 1, 2]]
+        for table in (exhaustive, restricted):
+            assert np.all(table.scores == 0.0)
 
     def test_invalid_parameters_rejected(self, embeddings):
         source, target = embeddings

@@ -185,9 +185,9 @@ def reference_candidate_topk(source_norm, target_norm, row_candidates,
     Every edge of rows ``[row_start, row_stop)`` is gathered at once (one
     ``einsum`` per round over all of them), each block's column max is the
     leader of a ``np.lexsort`` by (column, value desc, row asc), and each
-    row keeps its ``k_keep`` cells by (score desc, id asc) with position 0
-    the first-index maximiser — the arithmetic
-    ``compute_partial_topk_candidates`` must reproduce bit for bit.
+    row keeps the first ``k_keep`` cells of a full (score desc, id asc)
+    sort of its cells — what ``compute_partial_topk_candidates`` must
+    reproduce bit for bit, ties across the k-th place included.
     """
     indptr, cand_indices = row_candidates.indptr, row_candidates.indices
     num_cols = row_candidates.num_columns
@@ -198,39 +198,26 @@ def reference_candidate_topk(source_norm, target_norm, row_candidates,
         np.repeat(np.arange(row_start, row_stop), all_counts),
         cand_indices[indptr[row_start]:indptr[row_stop]], dtype)
 
+    offset = indptr[row_start]
     indices = np.empty((total_rows, k_keep), dtype=np.int64)
     scores = np.empty((total_rows, k_keep), dtype=np.float64)
+    for local, row in enumerate(range(row_start, row_stop)):
+        lo, hi = indptr[row] - offset, indptr[row + 1] - offset
+        row_ids = cand_indices[indptr[row]:indptr[row + 1]]
+        row_values = all_values[lo:hi]
+        order = np.lexsort((row_ids, -row_values))[:k_keep]
+        indices[local] = row_ids[order]
+        scores[local] = row_values[order]
+
     col_max = np.full(num_cols, -np.inf, dtype=np.float64)
     col_argmax = np.zeros(num_cols, dtype=np.int64)
     for start in range(row_start, row_stop, block_size):
         stop = min(start + block_size, row_stop)
-        num_rows = stop - start
-        local = start - row_start
         lo, hi = indptr[start], indptr[stop]
         cols = cand_indices[lo:hi]
         counts = np.diff(indptr[start:stop + 1])
-        rows_local = np.repeat(np.arange(num_rows), counts)
-        offset = indptr[row_start]
+        rows_local = np.repeat(np.arange(stop - start), counts)
         values = all_values[lo - offset:hi - offset]
-
-        width = int(counts.max()) if num_rows else 0
-        block = np.full((num_rows, width), -np.inf, dtype=np.float64)
-        cand_ids = np.zeros((num_rows, width), dtype=np.int64)
-        pos_in_row = np.arange(len(cols)) - np.repeat(np.cumsum(counts) - counts,
-                                                      counts)
-        block[rows_local, pos_in_row] = values
-        cand_ids[rows_local, pos_in_row] = cols
-        if k_keep < width:
-            part = np.argpartition(block, width - k_keep, axis=1)[:, width - k_keep:]
-        else:
-            part = np.broadcast_to(np.arange(width), block.shape).copy()
-        part_scores = np.take_along_axis(block, part, axis=1)
-        part_ids = np.take_along_axis(cand_ids, part, axis=1)
-        order = np.lexsort((part_ids, -part_scores))
-        indices[local:local + num_rows] = np.take_along_axis(part_ids, order, axis=1)
-        scores[local:local + num_rows] = np.take_along_axis(part_scores, order, axis=1)
-        first = block.argmax(axis=1)
-        indices[local:local + num_rows, 0] = cand_ids[np.arange(num_rows), first]
 
         if len(cols):
             group = np.lexsort((rows_local, -values, cols))
