@@ -15,8 +15,9 @@ configurable chunks and, per block, reduces immediately to
 * the row/column k-NN mean similarities needed for CSLS,
 
 so peak memory is ``O(block · n_t)`` instead of ``O(n_s · n_t)``.  The
-normalised embeddings are kept (``O((n_s + n_t) · d)``) so any single row
-can be re-materialised exactly — the evaluation fallback when a gold target
+normalised embeddings and the ``block_size`` are kept
+(``O((n_s + n_t) · d)``) so any row can be re-materialised exactly, by
+replaying its scan block — the evaluation fallback when a gold target
 falls outside the stored top-``k``.
 
 Semantic Propagation decoding averages per-round cosine similarities
@@ -79,6 +80,8 @@ class TopKSimilarity:
     would be silently lossy raise instead.  ``computed_cells`` counts the
     dot products the decode actually performed (the FLOPs proxy recorded
     by the efficiency experiment and enforced by the scaling benchmark).
+    ``block_size`` is the row grid the scan ran on; :meth:`row_scores`
+    replays its blocks.
 
     ``worker_rss_mb`` is the *sum* of the forked workers' peak RSS when the
     decode ran sharded (``num_workers > 1``), zero otherwise.  The parent's
@@ -96,6 +99,7 @@ class TopKSimilarity:
     col_argmax: np.ndarray         # (n_t,) source ids (first max wins)
     row_knn_mean: np.ndarray       # (n_s,)  CSLS r_T
     col_knn_mean: np.ndarray       # (n_t,) CSLS r_S
+    block_size: int                # source rows per scan block
     dtype: np.dtype = np.dtype(np.float64)
     approximate: bool = False
     computed_cells: int = 0
@@ -126,23 +130,38 @@ class TopKSimilarity:
                 "an exact-escalation IVF decode)")
 
     # ------------------------------------------------------------------
-    def row_scores(self, source_id: int) -> np.ndarray:
-        """Exact full similarity row over every target column.
+    def row_scores(self, source_ids) -> np.ndarray:
+        """Exact similarity rows over every target column: the scan's own cells.
 
-        This is the ``O(n_t)`` exactness fallback used when a gold target
-        falls outside the stored top-``k``: the same round-averaged product
-        the streaming pass computed, re-materialised for one row.
+        One id returns an ``(n_t,)`` row, an array of ids one row per id.
+        Each scan block holding a requested row is recomputed whole by
+        :func:`block_scores` on the table's ``block_size`` grid, so every
+        value equals the streamed cell bit for bit (float32 and multi-round
+        decodes too), where a product over fewer rows would round
+        differently.  Each touched block costs one ``O(block · n_t)``
+        product, charged to :func:`count_dot_products`; a single id pays
+        for its whole block.
         """
         self._require_exact("row_scores")
-        row = np.zeros(self.num_columns, dtype=np.float64)
-        for source_state, target_state in zip(self._source_norm, self._target_norm):
-            row += np.asarray(source_state[source_id] @ target_state.T, dtype=np.float64)
-        return row / len(self._source_norm)
+        ids = np.asarray(source_ids, dtype=np.int64)
+        flat = ids.reshape(-1)
+        if len(flat) and (flat.min() < 0 or flat.max() >= self.num_source):
+            raise IndexError(f"source ids must lie in [0, {self.num_source})")
+        rows = np.empty((len(flat), self.num_columns), dtype=np.float64)
+        blocks = flat // self.block_size
+        for block in np.unique(blocks):
+            start = int(block) * self.block_size
+            stop = min(start + self.block_size, self.num_source)
+            count_dot_products((stop - start) * self.num_columns
+                               * len(self._source_norm))
+            members = blocks == block
+            rows[members] = block_scores(self._source_norm, self._target_norm,
+                                         start, stop)[flat[members] - start]
+        return rows.reshape(ids.shape + (self.num_columns,))
 
     def dense(self) -> np.ndarray:
         """Materialise the full similarity matrix (tests / tiny decodes only)."""
-        blocks = [self.row_scores(row) for row in range(self.num_source)]
-        return np.stack(blocks, axis=0)
+        return self.row_scores(np.arange(self.num_source))
 
     # ------------------------------------------------------------------
     def best_target(self) -> tuple[np.ndarray, np.ndarray]:
@@ -165,15 +184,17 @@ class TopKSimilarity:
                 - row_means[:, None]
                 - self.col_knn_mean[indices])
 
-    def csls_row(self, source_id: int) -> np.ndarray:
-        """Exact full CSLS row over every target column (``O(n_t)``).
+    def csls_row(self, source_ids) -> np.ndarray:
+        """Exact CSLS rows over every target column, shaped as :meth:`row_scores`.
 
-        The CSLS counterpart of :meth:`row_scores`, used as the evaluation
+        The CSLS counterpart of :meth:`row_scores` (and as costly: it
+        replays the scan blocks holding the rows), used as the evaluation
         fallback when a gold rank cannot be proven from the stored top-k.
         """
         self._require_exact("csls_row")
-        return (2.0 * self.row_scores(source_id)
-                - self.row_knn_mean[source_id]
+        ids = np.asarray(source_ids, dtype=np.int64)
+        return (2.0 * self.row_scores(ids)
+                - self.row_knn_mean[ids][..., None]
                 - self.col_knn_mean)
 
     # ------------------------------------------------------------------
@@ -316,6 +337,25 @@ def _select_topk(block: np.ndarray, k_keep: int) -> np.ndarray:
     return part
 
 
+def block_scores(source_norm: list[np.ndarray], target_norm: list[np.ndarray],
+                 start: int, stop: int) -> np.ndarray:
+    """Round-averaged similarity of source rows [start, stop), as float64.
+
+    The exhaustive scan's one block product: a GEMM per round at the
+    states' dtype, summed in round order, then averaged.  The scan reduces
+    it and :meth:`TopKSimilarity.row_scores` replays it; both call it on
+    the same block grid, so their cells agree bit for bit.
+    """
+    num_rounds = len(source_norm)
+    block = source_norm[0][start:stop] @ target_norm[0].T
+    for round_index in range(1, num_rounds):
+        block = block + source_norm[round_index][start:stop] @ target_norm[round_index].T
+    block = np.asarray(block, dtype=np.float64)
+    if num_rounds > 1:
+        block = block / num_rounds
+    return block
+
+
 def compute_partial_topk(source_norm: list[np.ndarray],
                          target_norm: list[np.ndarray],
                          row_start: int, row_stop: int,
@@ -332,7 +372,6 @@ def compute_partial_topk(source_norm: list[np.ndarray],
     """
     num_rows = row_stop - row_start
     num_cols = target_norm[0].shape[0]
-    num_rounds = len(source_norm)
 
     indices = np.empty((num_rows, k_keep), dtype=np.int64)
     scores = np.empty((num_rows, k_keep), dtype=np.float64)
@@ -344,12 +383,7 @@ def compute_partial_topk(source_norm: list[np.ndarray],
     for start in range(row_start, row_stop, block_size):
         stop = min(start + block_size, row_stop)
         local = start - row_start
-        block = source_norm[0][start:stop] @ target_norm[0].T
-        for round_index in range(1, num_rounds):
-            block = block + source_norm[round_index][start:stop] @ target_norm[round_index].T
-        block = np.asarray(block, dtype=np.float64)
-        if num_rounds > 1:
-            block = block / num_rounds
+        block = block_scores(source_norm, target_norm, start, stop)
 
         # (a) exact row top-k: the canonical selection, then a
         # (score desc, target id asc) sort of it.
@@ -379,7 +413,7 @@ def compute_partial_topk(source_norm: list[np.ndarray],
         indices=indices, scores=scores,
         col_max=col_max, col_argmax=col_argmax, col_top=col_top,
         csls_k_col=csls_k_col,
-        computed_cells=num_rows * num_cols * num_rounds,
+        computed_cells=num_rows * num_cols * len(source_norm),
     )
 
 
@@ -494,8 +528,8 @@ def blockwise_topk(source, target, k: int = 10,
         partial = scan_rows(source_norm, target_norm, 0, num_source, **scan)
     count_dot_products(partial.computed_cells)
     return topk_from_partial(partial, (num_source, num_cols), csls_k=csls_k,
-                             dtype=dtype, source_norm=source_norm,
-                             target_norm=target_norm)
+                             dtype=dtype, block_size=block_size,
+                             source_norm=source_norm, target_norm=target_norm)
 
 
 def scan_rows(source_norm: list[np.ndarray], target_norm: list[np.ndarray],
@@ -521,7 +555,8 @@ def scan_rows(source_norm: list[np.ndarray], target_norm: list[np.ndarray],
 
 
 def topk_from_partial(partial: PartialTopK, shape: tuple[int, int], *,
-                      csls_k: int, dtype, source_norm: list[np.ndarray],
+                      csls_k: int, dtype, block_size: int,
+                      source_norm: list[np.ndarray],
                       target_norm: list[np.ndarray]) -> TopKSimilarity:
     """The :class:`TopKSimilarity` of a partial covering every source row.
 
@@ -529,7 +564,8 @@ def topk_from_partial(partial: PartialTopK, shape: tuple[int, int], *,
     ascending-sorted values, bit-identical to the dense
     ``np.sort(...)[-k:].mean()`` formulation; without it (a candidate
     decode or an incremental merge) they are NaN and the table is flagged
-    ``approximate``.  ``computed_cells`` is the partial's own count.
+    ``approximate``.  ``computed_cells`` is the partial's own count;
+    ``block_size`` is the grid the partial was scanned on.
     """
     num_source, num_cols = shape
     approximate = partial.col_top is None
@@ -551,6 +587,7 @@ def topk_from_partial(partial: PartialTopK, shape: tuple[int, int], *,
         row_knn_mean=row_knn_mean,
         col_knn_mean=col_knn_mean,
         dtype=np.dtype(dtype),
+        block_size=block_size,
         approximate=approximate,
         computed_cells=partial.computed_cells,
         worker_rss_mb=partial.worker_rss_mb,

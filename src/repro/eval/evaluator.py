@@ -20,8 +20,9 @@ class Evaluator:
     :meth:`evaluate_model` streams the model's ``decode_states()`` through
     :func:`~repro.core.similarity.blockwise_topk` at
     :data:`~repro.eval.metrics.EVALUATION_K`, so no evaluation materialises
-    the ``n_s x n_t`` matrix; ranks stay exact through the per-row
-    fallback.  ``encode`` / ``encode_batch_size`` pick the encoder path
+    the ``n_s x n_t`` matrix; ranks stay exact through the fallback that
+    replays the scan blocks of unproven rows.  ``encode`` /
+    ``encode_batch_size`` pick the encoder path
     (``encode="sampled"`` is the neighbour-sampled training pipeline's
     batched inference).  ``ranking="csls"`` ranks on CSLS-rescaled
     similarities.  ``candidates="ivf" | "lsh"`` (with an optional

@@ -9,9 +9,13 @@ and MRR.
 Similarities may arrive either as a full ``(num_source, num_target)``
 matrix or as a streaming :class:`~repro.core.similarity.TopKSimilarity`
 decode, in which case ranks come from the stored top-k neighbours — exact
-whenever the gold target sits strictly inside the stored top-k, with an
-``O(n_t)`` single-row fallback re-materialisation when it does not (gold
-missing, or tied with the top-k boundary score).
+whenever the gold target sits strictly inside the stored top-k.  Other
+rows (gold missing, or tied with the top-k boundary score) are re-scored
+by :meth:`~repro.core.similarity.TopKSimilarity.row_scores`, one call per
+scan block holding such rows: it replays the block whole, bit for bit the
+cells the scan reduced, so ties break as on the dense matrix.  That costs
+at most one pass of the scan's GEMMs, and more than scoring each row alone
+only when a few such rows spread over many blocks of a large table.
 
 ``ranking="csls"`` ranks on CSLS-rescaled similarities instead of raw
 cosine, without ever densifying a streaming decode: within a row the CSLS
@@ -20,8 +24,10 @@ streamed column k-NN means ``r_S`` are available for *every* column, so a
 stored entry's CSLS is exact and an unstored column's CSLS is bounded by
 ``2 · boundary - min_j r_S(j)``.  Whenever the gold beats that bound the
 stored top-k already contains every better-ranked candidate; otherwise the
-same ``O(n_t)`` single-row fallback applies — so CSLS ranks are always
-exact too, matching ``csls_similarity`` on the dense matrix bit for bit.
+same block-replay fallback applies, rescaled as
+:meth:`~repro.core.similarity.TopKSimilarity.csls_row` rescales — so CSLS
+ranks are always exact too, matching ``csls_similarity`` on the dense
+matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -37,8 +43,9 @@ __all__ = ["ranks_from_similarity", "hits_at_k", "mean_reciprocal_rank", "Alignm
            "evaluate_alignment", "EVALUATION_K"]
 
 #: Neighbours kept by every evaluation decode: H@10, the largest cut-off
-#: reported.  Exhaustive ranks are exact at any ``k`` (per-row fallback);
-#: an approximate decode ranks only what it stored, so it must keep 10.
+#: reported.  Exhaustive ranks are exact at any ``k`` (block-replay
+#: fallback); an approximate decode ranks only what it stored, so it must
+#: keep 10.
 EVALUATION_K = 10
 
 
@@ -82,16 +89,21 @@ def ranks_from_similarity(similarity, test_pairs: np.ndarray,
         candidates = np.unique(test_pairs[:, 1])
     else:
         candidates = np.arange(similarity.shape[1])
-    # One batched comparison over the (num_test, num_candidates) score
-    # matrix; candidate positions ascend with target id (np.unique sorts),
-    # so searchsorted recovers each gold's column.
-    scores = similarity[np.ix_(test_pairs[:, 0], candidates)]
-    gold_columns = np.searchsorted(candidates, test_pairs[:, 1])
-    gold_scores = scores[np.arange(len(test_pairs)), gold_columns]
-    # Rank = 1 + number of strictly better candidates; ties are counted
-    # optimistically-deterministically by breaking on index order.
+    # Candidate positions ascend with target id (np.unique sorts), so
+    # searchsorted recovers each gold's column.
+    return _gold_ranks(similarity[np.ix_(test_pairs[:, 0], candidates)],
+                       np.searchsorted(candidates, test_pairs[:, 1]))
+
+
+def _gold_ranks(scores: np.ndarray, gold_columns: np.ndarray) -> np.ndarray:
+    """Rank of each row's gold column in one batched comparison.
+
+    Rank = 1 + number of strictly better candidates + tied candidates
+    before the gold (ties break deterministically on index order).
+    """
+    gold_scores = scores[np.arange(len(scores)), gold_columns]
     better = np.sum(scores > gold_scores[:, None], axis=1)
-    positions = np.arange(len(candidates))
+    positions = np.arange(scores.shape[1])
     ties_before = np.sum((scores == gold_scores[:, None])
                          & (positions[None, :] < gold_columns[:, None]), axis=1)
     return (1 + better + ties_before).astype(np.int64)
@@ -171,18 +183,18 @@ def _ranks_from_topk(topk: TopKSimilarity, test_pairs: np.ndarray,
         ranks[~found] = len(candidates) + 1
         return ranks
 
-    # O(n_t) per-row fallback: gold outside the stored top-k or not provably
-    # separated from it — re-materialise (and rescale) just those rows.
-    for row in np.flatnonzero(~exact):
-        if ranking == "csls":
-            row_scores = topk.csls_row(int(rows[row]))
-        else:
-            row_scores = topk.row_scores(int(rows[row]))
-        row_scores = row_scores[candidates]
-        gold_column = int(np.searchsorted(candidates, golds[row]))
-        gold_score = row_scores[gold_column]
-        ranks[row] = (1 + np.sum(row_scores > gold_score)
-                      + np.sum(row_scores[:gold_column] == gold_score))
+    # Exact fallback for golds outside the stored top-k or not provably
+    # separated from it: one row_scores call per scan block holding such
+    # rows (it replays that block's own product, and CSLS rescales it),
+    # then one batched rank count per block, so the transient stays one
+    # block of rows.
+    rescore = topk.csls_row if ranking == "csls" else topk.row_scores
+    fallback = np.flatnonzero(~exact)
+    blocks = rows[fallback] // topk.block_size
+    for block in np.unique(blocks):
+        members = fallback[blocks == block]
+        ranks[members] = _gold_ranks(rescore(rows[members])[:, candidates],
+                                     np.searchsorted(candidates, golds[members]))
     return ranks
 
 

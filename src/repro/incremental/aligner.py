@@ -572,7 +572,8 @@ class IncrementalAligner:
         table = topk_from_partial(
             partial, (n_s_new, n_t_new),
             csls_k=old_table.csls_k if old_table is not None else 10,
-            dtype=np.float64, source_norm=src_norm, target_norm=tgt_norm)
+            dtype=np.float64, block_size=DEFAULT_BLOCK_SIZE,
+            source_norm=src_norm, target_norm=tgt_norm)
         return table, len(rows)
 
     # ------------------------------------------------------------------

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import (
+    reference_blockwise_similarity,
     reference_csls,
     reference_mutual_pairs,
+    reference_ranks,
     reference_similarity,
     reference_topk,
 )
@@ -16,7 +18,7 @@ from repro.core.alignment import (
     greedy_one_to_one,
     mutual_nearest_pairs,
 )
-from repro.core.ann import RowCandidates
+from repro.core.ann import RowCandidates, flops_counter
 from repro.core.similarity import TopKSimilarity, blockwise_topk
 from repro.eval.metrics import evaluate_alignment, ranks_from_similarity
 
@@ -180,6 +182,76 @@ class TestTopKRanks:
         dense = cosine_similarity(source, target)
         topk = blockwise_topk(source, target, k=10, block_size=6)
         assert evaluate_alignment(topk, pairs) == evaluate_alignment(dense, pairs)
+
+
+class TestRowScoresReplay:
+    """``row_scores`` replays the scan's blocks, so it returns the scan's cells."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("num_rounds", [1, 3])
+    def test_rows_are_the_scans_own_cells(self, dtype, num_rounds):
+        rng = np.random.default_rng(num_rounds)
+        sources = [rng.normal(size=(23, 6)) for _ in range(num_rounds)]
+        targets = [rng.normal(size=(17, 6)) for _ in range(num_rounds)]
+        topk = blockwise_topk(sources, targets, k=4, block_size=7, dtype=dtype)
+        assert topk.block_size == 7
+        dense = topk.dense()
+        assert np.array_equal(np.take_along_axis(dense, topk.indices, axis=1),
+                              topk.scores)
+        ids = np.array([22, 3, 3, 15, 0])
+        assert np.array_equal(topk.row_scores(ids), dense[ids])
+        assert np.array_equal(topk.row_scores(15), dense[15])
+        expected_csls = (2.0 * dense[ids] - topk.row_knn_mean[ids][:, None]
+                         - topk.col_knn_mean)
+        assert np.array_equal(topk.csls_row(ids), expected_csls)
+        assert np.array_equal(topk.csls_row(3), expected_csls[1])
+        if dtype == np.float64:
+            assert np.array_equal(
+                dense, reference_blockwise_similarity(sources, targets, 7))
+
+    def test_rejects_ids_outside_the_table(self, embeddings):
+        topk = blockwise_topk(*embeddings, k=3, block_size=6)
+        for bad in (23, -1, [0, 23]):
+            with pytest.raises(IndexError):
+                topk.row_scores(bad)
+
+
+class TestFallbackMetering:
+    """The exact-rank fallback charges every cell it replays."""
+
+    @pytest.fixture
+    def decode(self):
+        rng = np.random.default_rng(11)
+        sources = [rng.normal(size=(100, 8)) for _ in range(2)]
+        targets = [rng.normal(size=(40, 8)) for _ in range(2)]
+        return sources, targets, blockwise_topk(sources, targets, k=5,
+                                                block_size=32)
+
+    def test_charges_each_touched_block_once(self, decode):
+        sources, targets, topk = decode
+        # Golds outside the top-k in blocks 0 and 2; stored top-1 golds
+        # (strictly inside the top-k) in blocks 1 and 3.
+        fallback = np.array([1, 5, 31, 64, 70, 95])
+        inside = np.array([33, 50, 97])
+        dense = topk.dense()
+        pairs = np.concatenate([
+            np.stack([fallback, dense[fallback].argmin(axis=1)], axis=1),
+            np.stack([inside, topk.indices[inside, 0]], axis=1)])
+        with flops_counter() as counter:
+            ranks = ranks_from_similarity(topk, pairs, restrict_candidates=False)
+        assert counter.cells == 64 * 40 * 2
+        assert np.array_equal(ranks, reference_ranks(
+            reference_blockwise_similarity(sources, targets, 32), pairs,
+            restrict_candidates=False))
+
+    def test_golds_inside_the_topk_charge_nothing(self, decode):
+        _, _, topk = decode
+        rows = np.arange(100)
+        pairs = np.stack([rows, topk.indices[rows, 0]], axis=1)
+        with flops_counter() as counter:
+            ranks = ranks_from_similarity(topk, pairs, restrict_candidates=False)
+        assert counter.cells == 0
+        assert np.all(ranks == 1)
 
 
 class TestModelDecode:

@@ -39,6 +39,7 @@ from repro.kg.sampling import flat_row_positions
 
 __all__ = [
     "reference_similarity",
+    "reference_blockwise_similarity",
     "reference_ranks",
     "reference_csls",
     "reference_mutual_pairs",
@@ -59,6 +60,17 @@ __all__ = [
 ]
 
 
+def _normalized_rounds(states) -> list[np.ndarray]:
+    if isinstance(states, np.ndarray):
+        states = [states]
+    normalized = []
+    for state in states:
+        state = np.asarray(state, dtype=np.float64)
+        normalized.append(state / np.maximum(
+            np.linalg.norm(state, axis=1, keepdims=True), 1e-12))
+    return normalized
+
+
 def reference_similarity(source_states, target_states) -> np.ndarray:
     """The round-averaged dense cosine similarity (Algorithm 1, line 15).
 
@@ -68,18 +80,36 @@ def reference_similarity(source_states, target_states) -> np.ndarray:
     Accepts single matrices or the per-round lists ``decode_states()``
     returns.
     """
-    if isinstance(source_states, np.ndarray):
-        source_states, target_states = [source_states], [target_states]
-    rounds = []
-    for source, target in zip(source_states, target_states, strict=True):
-        source = np.asarray(source, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
-        source = source / np.maximum(
-            np.linalg.norm(source, axis=1, keepdims=True), 1e-12)
-        target = target / np.maximum(
-            np.linalg.norm(target, axis=1, keepdims=True), 1e-12)
-        rounds.append(source @ target.T)
+    rounds = [source @ target.T for source, target in zip(
+        _normalized_rounds(source_states), _normalized_rounds(target_states),
+        strict=True)]
     return np.mean(rounds, axis=0)
+
+
+def reference_blockwise_similarity(source_states, target_states,
+                                   block_size: int) -> np.ndarray:
+    """The dense round average evaluated on a scan's grid of source blocks.
+
+    For each block of ``block_size`` source rows, every round's cosine
+    product is computed for the block alone, the products are summed in
+    round order and the sum is divided by the number of rounds — the cells
+    a streaming decode with that ``block_size`` reduces.  A GEMM's last-ulp
+    rounding depends on its row count, so this can differ from
+    :func:`reference_similarity`, but only when there is more than one
+    block.
+    """
+    sources = _normalized_rounds(source_states)
+    targets = _normalized_rounds(target_states)
+    assert len(sources) == len(targets)
+    num_source = sources[0].shape[0]
+    blocks = []
+    for start in range(0, num_source, block_size):
+        stop = min(start + block_size, num_source)
+        total = sources[0][start:stop] @ targets[0].T
+        for source, target in zip(sources[1:], targets[1:]):
+            total = total + source[start:stop] @ target.T
+        blocks.append(total / len(sources))
+    return np.concatenate(blocks, axis=0)
 
 
 def reference_ranks(similarity, test_pairs, restrict_candidates: bool = True) -> np.ndarray:
