@@ -1,18 +1,16 @@
 """Benchmark regenerating the efficiency analysis of Sec. V-E.
 
-Measures training / decoding wall-clock per prominent model, the isolated
-cost of the Semantic Propagation decoding step, and the dense-vs-blockwise
-decode-path comparison (wall-clock + peak memory).  Expected shape:
-DESAlign's training cost is in the same bracket as MEAformer's, propagation
-is orders of magnitude cheaper than training (it is a learning-free, linear
-pass), and the streaming blockwise decode's peak allocation beats the dense
-``n x n`` pipeline by a widening factor as the entity count grows.
+Measures training / decoding wall-clock per prominent model and the
+isolated cost of the Semantic Propagation decoding step.  Expected shape:
+DESAlign's training cost is in the same bracket as MEAformer's, and
+propagation is orders of magnitude cheaper than training (it is a
+learning-free, linear pass).  The decode-path checks live with the scaling
+benchmarks (``test_scaling_decode.py``, ``test_scaling_ann.py``).
 """
 
 from conftest import run_once
 
 from repro.experiments import PROMINENT_MODELS, run_efficiency
-from repro.experiments.efficiency import DECODE_SCALES
 
 
 def test_efficiency(benchmark, bench_scale):
@@ -28,17 +26,3 @@ def test_efficiency(benchmark, bench_scale):
     assert desalign["train_seconds"] <= 5.0 * meaformer["train_seconds"]
     # Propagation is a cheap decoding step.
     assert propagation["decode_seconds"] < 0.25 * desalign["train_seconds"]
-    # The streaming decode wins on peak memory at the largest profiled scale.
-    largest = max(DECODE_SCALES)
-    dense = result.filter(model="decode-dense", entities=largest)[0]
-    blockwise = result.filter(model="decode-blockwise", entities=largest)[0]
-    assert blockwise["peak_mb"] < 0.5 * dense["peak_mb"]
-    # Both paths agree on the mutual-NN reduction they computed.
-    assert blockwise["mutual_pairs"] == dense["mutual_pairs"]
-    # The IVF candidate layer cuts FLOPs below the exhaustive stream while
-    # keeping the measured recall@1 high on the noisy-copy geometry.
-    exhaustive = result.filter(model="decode-topk-exhaustive", entities=largest)[0]
-    ivf = result.filter(model="decode-topk-ivf", entities=largest)[0]
-    assert exhaustive["flops_fraction"] == 1.0
-    assert ivf["flops_fraction"] < exhaustive["flops_fraction"]
-    assert ivf["recall1"] >= 0.9

@@ -23,7 +23,9 @@ instead of copying every candidate row of a block.
 A companion seed-scale check pins the exactness contract: probing every
 bucket (``nprobe == n_clusters``) reproduces the exhaustive blockwise
 decode bit for bit on a trained DESAlign model, and exact-escalation
-recovers recall@1 == 1.0.
+recovers recall@1 == 1.0.  A third check runs the default ``AnnConfig`` on
+the 3,000-entity noisy copy of ``test_scaling_decode.py``: IVF must meter
+fewer dot products than the exhaustive decode and keep recall@1 >= 0.9.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.core.trainer import Trainer, TrainingConfig
 from repro.experiments import build_task
 
 from conftest import BENCH_SCALE
-from test_scaling_decode import forbid_dense_similarity_matrices
+from test_scaling_decode import forbid_dense_similarity_matrices, noisy_copy_3000
 
 ANN_ENTITIES = 50_000
 HIDDEN = 32
@@ -170,3 +172,35 @@ def test_full_probing_matches_exhaustive_bitwise_at_seed_scale(benchmark):
     assert recall_at_k(escalated.indices, exhaustive.indices, k=1) == 1.0
     print("\nseed-scale exactness: complete==exhaustive bitwise, "
           f"escalated recall@1 == 1.0 over {exhaustive.shape[0]} rows")
+
+
+def _metered_topk(source: np.ndarray, target: np.ndarray, candidates: str):
+    """A k=10 decode and every dot product it metered, index build included."""
+    with flops_counter() as counter:
+        row_candidates = None
+        if candidates != "exhaustive":
+            row_candidates = generate_candidates(
+                candidates, source, target, AnnConfig(seed=0))
+        topk = blockwise_topk(source, target, k=10, block_size=512,
+                              row_candidates=row_candidates)
+    return topk, counter.cells
+
+
+def _default_ivf_3000() -> dict:
+    source, target = noisy_copy_3000()
+    total_cells = len(source) * len(target)
+    exact, exact_cells = _metered_topk(source, target, "exhaustive")
+    ivf, ivf_cells = _metered_topk(source, target, "ivf")
+    return {"exhaustive_flops_fraction": round(exact_cells / total_cells, 4),
+            "ivf_flops_fraction": round(ivf_cells / total_cells, 4),
+            "recall1": round(recall_at_k(ivf.indices, exact.indices, k=1), 4)}
+
+
+def test_default_ivf_cuts_flops_at_3000_entities(benchmark):
+    report = benchmark.pedantic(_default_ivf_3000, rounds=1, iterations=1)
+    print("\ndefault-config IVF report:", report)
+    assert report["exhaustive_flops_fraction"] == 1.0
+    # The IVF candidate layer cuts FLOPs below the exhaustive stream while
+    # keeping the measured recall@1 high on the noisy-copy geometry.
+    assert report["ivf_flops_fraction"] < report["exhaustive_flops_fraction"]
+    assert report["recall1"] >= 0.9

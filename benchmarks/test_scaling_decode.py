@@ -10,15 +10,21 @@ memory of the engine is ``O(block · n_t)`` (~20 MB at block 512).
 A companion check asserts the blockwise decode reproduces the dense
 decoding path's metrics within 1e-9 (and the CSLS / mutual-NN reductions
 exactly) on the seed-scale experiment grid, for DESAlign with Semantic
-Propagation and for a baseline.
+Propagation and for a baseline.  A third compares allocation peaks at
+3,000 entities: the streaming decode must stay below half of the dense
+``n x n`` pipeline's and find the same mutual-NN pairs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
+import tracemalloc
 
 import numpy as np
 
+from repro.core.alignment import (cosine_similarity, csls_similarity,
+                                  mutual_nearest_pairs)
 from repro.core.config import DESAlignConfig
 from repro.core.model import DESAlign
 from repro.core.similarity import TopKSimilarity, blockwise_topk
@@ -159,3 +165,70 @@ def test_blockwise_decode_matches_dense_on_seed_grid(benchmark):
         assert topk.mutual_nearest_pairs() == mutual_nearest_pairs(dense)
         # And the streamed values themselves reproduce the dense matrix.
         assert np.abs(topk.dense() - dense).max() < 1e-9
+
+
+#: Entities per side of the decode-path comparison (the larger of the two
+#: scales the Sec. V-E efficiency runner used to profile).
+PROFILE_ENTITIES = 3000
+
+
+def noisy_copy_3000() -> tuple[np.ndarray, np.ndarray]:
+    """The 3,000-entity noisy copy the decode-path gates run on.
+
+    One generator seeded with the benchmark scale's seed draws a
+    1,000-entity pair first, then this one, as the efficiency runner did.
+    """
+    rng = np.random.default_rng(BENCH_SCALE.seed)
+    hidden = BENCH_SCALE.hidden_dim
+    for num_entities in (1000, PROFILE_ENTITIES):
+        source = rng.normal(size=(num_entities, hidden))
+        target = source + 0.1 * rng.normal(size=(num_entities, hidden))
+    return source, target
+
+
+def _traced_peak_mb(fn, *args):
+    """``fn(*args)`` and the tracemalloc allocation peak of that call, MB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 1e6
+
+
+def _dense_decode(source: np.ndarray, target: np.ndarray) -> int:
+    """Full matrix, full CSLS, dense mutual-NN; returns the pair count."""
+    similarity = cosine_similarity(source, target)
+    csls_similarity(similarity, k=10)
+    return len(mutual_nearest_pairs(similarity))
+
+
+def _blockwise_decode(source: np.ndarray, target: np.ndarray) -> int:
+    """Streamed top-k, CSLS and mutual-NN, O(block · n); returns the pair count."""
+    topk = blockwise_topk(source, target, k=10, block_size=512)
+    topk.csls_scores()
+    return len(topk.mutual_nearest_pairs())
+
+
+def _decode_peaks_3000() -> dict:
+    source, target = noisy_copy_3000()
+    # The dense pipeline is the reference, so it runs outside the guard.
+    dense_pairs, dense_peak = _traced_peak_mb(_dense_decode, source, target)
+    with forbid_dense_similarity_matrices():
+        blockwise_pairs, blockwise_peak = _traced_peak_mb(
+            _blockwise_decode, source, target)
+    return {"entities": PROFILE_ENTITIES,
+            "dense_peak_mb": dense_peak, "blockwise_peak_mb": blockwise_peak,
+            "dense_mutual_pairs": dense_pairs,
+            "blockwise_mutual_pairs": blockwise_pairs}
+
+
+def test_blockwise_peak_below_half_of_dense_at_3000_entities(benchmark):
+    report = benchmark.pedantic(_decode_peaks_3000, rounds=1, iterations=1)
+    print("\ndecode-path peak report:", report)
+    # The streaming decode wins on peak memory ...
+    assert report["blockwise_peak_mb"] < 0.5 * report["dense_peak_mb"]
+    # ... and both paths agree on the mutual-NN reduction they computed.
+    assert report["blockwise_mutual_pairs"] == report["dense_mutual_pairs"]

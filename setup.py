@@ -1,8 +1,7 @@
 """Setuptools entry point.
 
-Kept alongside ``pyproject.toml`` so that editable installs work in fully
-offline environments whose setuptools lacks PEP 660 support (no ``wheel``
-package available).
+Nothing in the repository installs the package: tests, examples and
+benchmarks run with ``PYTHONPATH=src``.
 """
 
 from setuptools import setup

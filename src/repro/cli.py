@@ -71,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--epochs", type=int, default=80)
     train.add_argument("--iterative", action="store_true")
     train.add_argument("--candidates", default="exhaustive",
-                       choices=["exhaustive", "ivf", "lsh"],
-                       help="decode candidate generation (ivf/lsh = approximate, "
+                       choices=["exhaustive", "ivf"],
+                       help="decode candidate generation (ivf = approximate, "
                             "sub-quadratic FLOPs)")
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--save", default=None, metavar="DIR",
@@ -121,12 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "'overloaded' errors (default 128)")
     serve.add_argument("--cache-size", type=int, default=4096,
                        help="result-cache entries (default 4096)")
-    serve.add_argument("--cache-admission", choices=["frequency", "lru"],
-                       default="frequency",
-                       help="cache admission policy: 'frequency' gates "
-                            "inserts through a TinyLFU-style sketch so "
-                            "one-shot churn cannot evict the hot set; "
-                            "'lru' admits everything (default frequency)")
     serve.add_argument("--num-workers", type=int, default=None,
                        help="decode worker processes for full-table decodes "
                             "(default: the spec's setting)")
@@ -317,7 +311,7 @@ def _command_serve(args: argparse.Namespace, stdin=None, stdout=None) -> int:
         batch_window=args.batch_window, max_batch=args.max_batch,
         pool_size=args.pool_size, queue_size=args.queue_size,
         cache_size=args.cache_size, default_timeout=args.timeout,
-        cache_admission=args.cache_admission, fault_injector=injector)
+        fault_injector=injector)
     server = ServingServer(engine)
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout

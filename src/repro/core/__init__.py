@@ -29,7 +29,6 @@ from .propagation import SemanticPropagation, PropagationResult, closed_form_int
 from .ann import (
     AnnConfig,
     IVFIndex,
-    RandomHyperplaneLSH,
     RowCandidates,
     flops_counter,
     generate_candidates,
@@ -83,7 +82,6 @@ __all__ = [
     "closed_form_interpolation",
     "AnnConfig",
     "IVFIndex",
-    "RandomHyperplaneLSH",
     "RowCandidates",
     "flops_counter",
     "generate_candidates",

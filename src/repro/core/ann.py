@@ -6,27 +6,24 @@ dot product.  This module supplies the third scaling layer: per-source-row
 **candidate sets** that restrict the streamed decode to a small fraction of
 the similarity cells, so decode FLOPs drop below ``O(n_s · n_t)``.
 
-Two candidate generators are provided, both deterministic for a fixed seed:
-
-* :class:`IVFIndex` — a k-means coarse quantiser over the target embeddings
-  with inverted bucket lists.  Queries probe their ``nprobe`` nearest
-  centroids; an optional *exact-escalation* mode keeps probing buckets in
-  descending centroid-score order until the triangle-inequality bound
+The built-in generator, :class:`IVFIndex`, is deterministic for a fixed
+seed: a k-means coarse quantiser over the target embeddings with inverted
+bucket lists.  Queries probe their ``nprobe`` nearest centroids; an
+optional *exact-escalation* mode keeps probing buckets in descending
+centroid-score order until the triangle-inequality bound
 
   ``sim(q, x) = q·μ_c + q·(x − μ_c)  ≤  q·μ_c + ‖q‖ · r_c``
 
-  (``r_c`` the bucket radius) proves no unprobed bucket can beat the best
-  score found, which guarantees a provably correct top-1 per row — the
-  property mutual-NN pseudo-seeding needs.  Escalation runs in both
-  directions (targets probed from sources and vice versa), so the running
-  column argmax of the restricted decode is exact too and the streamed
-  mutual-NN pair set matches the dense selection wherever scores are
-  untied.
-
-* :class:`RandomHyperplaneLSH` — sign-random-projection hashing with
-  several independent tables; a query's candidates are the union of its
-  colliding buckets.  Cheaper to build than IVF (no k-means) but with no
-  exactness bound, hence no escalation mode.
+(``r_c`` the bucket radius) proves no unprobed bucket can beat the best
+score found, which guarantees a provably correct top-1 per row — the
+property mutual-NN pseudo-seeding needs.  Escalation runs in both
+directions (targets probed from sources and vice versa), so the running
+column argmax of the restricted decode is exact too and the streamed
+mutual-NN pair set matches the dense selection wherever scores are
+untied.  Other generators plug in through
+:func:`~repro.core.registries.register_candidate_generator`;
+``examples/lsh_candidate_plugin.py`` registers random-hyperplane LSH that
+way.
 
 The candidate sets feed :func:`repro.core.similarity.blockwise_topk` as a
 sparse gather (``row_candidates=``) instead of full block matmuls; the
@@ -38,7 +35,7 @@ Work is metered in *similarity cells* (one cell is one d-dimensional dot
 product) to every open :func:`flops_counter`, so benchmarks can enforce a
 FLOPs budget relative to the ``n_s · n_t`` exhaustive decode.  Candidate
 generation charges its own cells (k-means, centroid scoring, escalation
-probes, LSH projections).  The decode kernels only *return* their count
+probes).  The decode kernels only *return* their count
 (``computed_cells``); the caller that owns a partial charges it once —
 :func:`~repro.core.similarity.blockwise_topk` (serial or sharded),
 :meth:`repro.pipeline.Aligner.rank_rows` and the incremental re-decode.
@@ -58,7 +55,6 @@ __all__ = [
     "RowCandidates",
     "IVFIndex",
     "IVFWarmStart",
-    "RandomHyperplaneLSH",
     "generate_candidates",
     "resolve_ann",
     "recall_at_k",
@@ -86,7 +82,7 @@ _COUNTER_STACK: list[_CellCounter] = []
 class flops_counter:
     """Context manager counting every dot product computed inside its scope.
 
-    Candidate generation (k-means, centroid scoring, LSH projections) and
+    Candidate generation (k-means, centroid scoring, escalation probes) and
     the owner of every decode partial report to each active counter, so
 
     >>> with flops_counter() as counter:
@@ -135,26 +131,10 @@ class AnnConfig:
     exact_escalation:
         Probe buckets until the centroid-plus-radius bound proves the top-1
         exact, in both directions (see module docstring).  Required by the
-        iterative trainer's mutual-NN pseudo-seeding; unsupported for LSH.
-    tables, hyperplanes:
-        LSH shape: number of independent hash tables and sign bits per table.
+        iterative trainer's mutual-NN pseudo-seeding.
     min_candidates:
         Optional per-row floor on the candidate count (the decode itself
         additionally pads every row to at least its stored ``k``).
-    adaptive_slack:
-        Per-query adaptive ``nprobe`` for escalated IVF probing: a query
-        stops probing once its best score is within ``adaptive_slack`` of
-        the centroid-plus-radius bound over its unprobed buckets.  ``0.0``
-        (the default) is the provably exact stop; larger values trade
-        recall for FLOPs — the top-1 exactness proof no longer holds, so
-        combine with ``exact_escalation`` only where near-exact suffices.
-    gather:
-        How the restricted decode materialises candidate cells.  Only
-        ``"edge"`` remains: one ``einsum`` dot product per candidate edge,
-        computed from that edge's own two rows, so no batch composition can
-        move a bit.  The field stays because saved specs write it;
-        ``"bucket"`` (the per-bucket GEMM gather, whose rounding depended on
-        which rows shared a rectangle) was removed and is rejected.
     train_size:
         Optional cap on the vectors k-means trains on: Lloyd iterates on a
         seeded subsample of this size, then every vector is assigned to the
@@ -162,21 +142,18 @@ class AnnConfig:
         (memory-mapped) index builds tractable; ``None`` trains on all
         vectors.
     seed:
-        Seed of k-means initialisation / hyperplane draws.  ``None`` means
-        "inherit from the caller" — the model / trainer substitutes its own
-        configured seed so one ``TrainingConfig.seed`` drives the sampler,
-        the loader and the quantiser alike.
+        Seed of k-means initialisation (and of any plug-in generator's
+        draws).  ``None`` means "inherit from the caller" — the model /
+        trainer substitutes its own configured seed so one
+        ``TrainingConfig.seed`` drives the sampler, the loader and the
+        quantiser alike.
     """
 
     n_clusters: int | None = None
     nprobe: int | None = None
     kmeans_iters: int = 8
     exact_escalation: bool = False
-    tables: int = 8
-    hyperplanes: int = 12
     min_candidates: int | None = None
-    adaptive_slack: float = 0.0
-    gather: str = "edge"
     train_size: int | None = None
     seed: int | None = None
 
@@ -187,19 +164,8 @@ class AnnConfig:
             raise ValueError("nprobe must be positive")
         if self.kmeans_iters < 0:
             raise ValueError("kmeans_iters must be non-negative")
-        if self.tables <= 0 or self.hyperplanes <= 0:
-            raise ValueError("tables and hyperplanes must be positive")
         if self.min_candidates is not None and self.min_candidates <= 0:
             raise ValueError("min_candidates must be positive")
-        if self.adaptive_slack < 0.0:
-            raise ValueError("adaptive_slack must be non-negative")
-        if self.gather == "bucket":
-            raise ValueError(
-                "gather='bucket' was removed: its GEMM rounding depended on "
-                "which rows shared a bucket rectangle, so served row subsets "
-                "could differ from the full decode; use gather='edge'")
-        if self.gather != "edge":
-            raise ValueError("gather must be 'edge'")
         if self.train_size is not None and self.train_size <= 0:
             raise ValueError("train_size must be positive")
 
@@ -776,86 +742,8 @@ class IVFWarmStart:
 
 
 # ---------------------------------------------------------------------------
-# Random-hyperplane (sign) LSH
-# ---------------------------------------------------------------------------
-class RandomHyperplaneLSH:
-    """Sign-random-projection hashing over a vector set.
-
-    ``tables`` independent hash tables of ``hyperplanes`` sign bits each; a
-    query's candidates are the union of the buckets whose full code matches
-    in at least one table.  Collision probability per bit is
-    ``1 − θ/π`` for angle ``θ``, so near neighbours collide in some table
-    with high probability while the expected bucket size stays
-    ``n / 2^hyperplanes``.
-    """
-
-    def __init__(self, vectors: np.ndarray, tables: int = 8,
-                 hyperplanes: int = 12, seed: int = 0):
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or len(vectors) == 0:
-            raise ValueError("vectors must be a non-empty 2-D array")
-        if hyperplanes > 62:
-            raise ValueError("hyperplanes must be <= 62 (codes are int64)")
-        self.num_vectors = len(vectors)
-        rng = np.random.default_rng(seed)
-        self.planes = rng.normal(size=(tables, vectors.shape[1], hyperplanes))
-        self.tables = tables
-        self.hyperplanes = hyperplanes
-        codes = self._codes(vectors)                    # (n, tables)
-        self._sorted_codes: list[np.ndarray] = []
-        self._sorted_ids: list[np.ndarray] = []
-        for table in range(tables):
-            order = np.argsort(codes[:, table], kind="stable")
-            self._sorted_ids.append(order.astype(np.int64))
-            self._sorted_codes.append(codes[order, table])
-
-    def _codes(self, vectors: np.ndarray) -> np.ndarray:
-        """Per-table integer hash codes of ``vectors``."""
-        count_dot_products(len(vectors) * self.tables * self.hyperplanes)
-        weights = (1 << np.arange(self.hyperplanes)).astype(np.int64)
-        codes = np.empty((len(vectors), self.tables), dtype=np.int64)
-        for table in range(self.tables):
-            bits = (np.asarray(vectors, dtype=np.float64)
-                    @ self.planes[table]) >= 0.0
-            codes[:, table] = bits.astype(np.int64) @ weights
-        return codes
-
-    def candidates(self, queries: np.ndarray) -> RowCandidates:
-        """Union over tables of each query's colliding bucket."""
-        queries = np.asarray(queries, dtype=np.float64)
-        codes = self._codes(queries)
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        for table in range(self.tables):
-            sorted_codes = self._sorted_codes[table]
-            starts = np.searchsorted(sorted_codes, codes[:, table], side="left")
-            stops = np.searchsorted(sorted_codes, codes[:, table], side="right")
-            counts = stops - starts
-            positions = flat_row_positions(starts, counts)
-            cols_parts.append(self._sorted_ids[table][positions])
-            rows_parts.append(np.repeat(np.arange(len(queries)), counts))
-        return RowCandidates.from_pairs(
-            np.concatenate(rows_parts), np.concatenate(cols_parts),
-            len(queries), self.num_vectors)
-
-
-# ---------------------------------------------------------------------------
 # Front door used by the decode stack
 # ---------------------------------------------------------------------------
-@register_candidate_generator("lsh")
-def _lsh_candidates(source_concat: np.ndarray, target_concat: np.ndarray,
-                    config: AnnConfig) -> RowCandidates:
-    """Multi-table random-hyperplane candidate sets (no exactness bound)."""
-    if config.exact_escalation:
-        raise ValueError(
-            "exact_escalation is only available for candidates='ivf': "
-            "random-hyperplane LSH has no bound proving a top-1 exact")
-    index = RandomHyperplaneLSH(target_concat, tables=config.tables,
-                                hyperplanes=config.hyperplanes,
-                                seed=config.resolved_seed())
-    return index.candidates(source_concat)
-
-
 @register_candidate_generator("ivf")
 def _ivf_candidates(source_concat: np.ndarray, target_concat: np.ndarray,
                     config: AnnConfig,
@@ -879,11 +767,9 @@ def _ivf_candidates(source_concat: np.ndarray, target_concat: np.ndarray,
 
     index = build(target_concat, "forward", seed)
     if config.exact_escalation:
-        forward = index.escalated_candidates(source_concat,
-                                             slack=config.adaptive_slack)
+        forward = index.escalated_candidates(source_concat)
         reverse_index = build(source_concat, "reverse", seed + 1)
-        reverse = reverse_index.escalated_candidates(target_concat,
-                                                     slack=config.adaptive_slack)
+        reverse = reverse_index.escalated_candidates(target_concat)
         return forward.union(reverse.transposed())
     return index.candidates(source_concat, nprobe=config.nprobe)
 
@@ -898,7 +784,7 @@ def generate_candidates(method: str, source, target,
     concatenated, which preserves the averaged-similarity neighbour
     structure exactly.  ``method`` names a generator registered through
     :func:`repro.core.registries.register_candidate_generator` (the
-    built-ins are ``"ivf"`` and ``"lsh"``); the returned sets are
+    built-in is ``"ivf"``); the returned sets are
     deterministic functions of the inputs and ``config.seed``.
 
     ``warm_start`` (an :class:`IVFWarmStart`) carries k-means centroids
@@ -935,8 +821,8 @@ def recall_at_k(approx_indices: np.ndarray, exact_indices: np.ndarray,
     """Mean per-row overlap between approximate and exact top-``k`` ids.
 
     ``recall@k = |approx_topk ∩ exact_topk| / k`` averaged over rows — the
-    measured-recall figure the efficiency experiment and the scaling
-    benchmark record against the exact decode.
+    measured-recall figure the scaling benchmarks record against the exact
+    decode.
     """
     approx_indices = np.asarray(approx_indices)
     exact_indices = np.asarray(exact_indices)

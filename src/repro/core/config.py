@@ -128,14 +128,14 @@ class TrainingConfig:
         requires an evaluation cadence (``eval_every > 0``).
     candidates / ann:
         Candidate generation of the decode stack (``"exhaustive"`` — every
-        cell, the default — or ``"ivf"`` / ``"lsh"`` approximate candidate
-        sets, see :mod:`repro.core.ann`).  Periodic evaluations use the
-        setting as-is; the iterative strategy's mutual-NN pseudo-seed
-        decode escalates IVF probing until its top-1 is provably exact, and
-        ``iterative=True`` with ``candidates="lsh"`` is rejected because
-        LSH offers no such guarantee (pseudo-seeding would be silently
-        lossy).  The ``ann`` seed defaults to this config's ``seed``, so
-        one seed drives the sampler, the loader and the quantiser alike.
+        cell, the default — ``"ivf"`` or a registered plug-in generator,
+        see :mod:`repro.core.ann`).  Periodic evaluations use the setting
+        as-is; the iterative strategy's mutual-NN pseudo-seed decode
+        escalates IVF probing until its top-1 is provably exact, and
+        ``iterative=True`` with any other generator is rejected because it
+        offers no such guarantee (pseudo-seeding would be silently lossy).
+        The ``ann`` seed defaults to this config's ``seed``, so one seed
+        drives the sampler, the loader and the quantiser alike.
     log_energy:
         Must stay ``False`` (saved specs write it); energy is logged by
         ``Trainer(..., energy_monitor=EnergyMonitor())``.

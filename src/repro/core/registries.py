@@ -243,4 +243,4 @@ def candidate_methods() -> set[str]:
     correct even before :mod:`repro.core.ann` has been imported.
     """
     load_entry_point_plugins()
-    return set(CANDIDATE_REGISTRY) | {"exhaustive", "ivf", "lsh"}
+    return set(CANDIDATE_REGISTRY) | {"exhaustive", "ivf"}

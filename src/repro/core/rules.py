@@ -72,12 +72,12 @@ def check_ranking_method(ranking: str) -> None:
 # Cross-field rules
 # ---------------------------------------------------------------------------
 def check_iterative_candidates(iterative: bool, candidates: str) -> None:
-    """Pseudo-seeding needs a provably exact top-1, which LSH cannot offer."""
-    if iterative and candidates == "lsh":
+    """Pseudo-seeding needs a provably exact top-1: exhaustive or escalated IVF."""
+    if iterative and candidates not in {"exhaustive", "ivf"}:
         raise ValueError(
             "iterative pseudo-seeding needs a provably exact top-1, which "
-            "LSH candidates cannot offer; use candidates='ivf' (escalated "
-            "automatically) or 'exhaustive'")
+            f"candidates={candidates!r} cannot offer; use candidates='ivf' "
+            "(escalated automatically) or 'exhaustive'")
 
 
 def check_patience_cadence(early_stopping_patience: int, eval_every: int) -> None:

@@ -38,7 +38,7 @@ whether the shards ran in forked workers or in-process.
 Memory accounting: each forked worker records its own peak RSS
 (``RUSAGE_SELF``, a per-process high-water mark) into
 ``PartialTopK.worker_rss_mb``; the merge *sums* them, giving the
-efficiency experiment a true multi-process memory figure —
+out-of-core benchmark a multi-process memory figure —
 ``RUSAGE_CHILDREN`` only tracks the single largest child and would
 under-report a pool.
 """

@@ -78,16 +78,17 @@ class TopKSimilarity:
     (``row_candidates``): uncomputed cells are unknown, so the exact-row
     fallbacks and the CSLS statistics are unavailable — consumers that
     would be silently lossy raise instead.  ``computed_cells`` counts the
-    dot products the decode actually performed (the FLOPs proxy recorded
-    by the efficiency experiment and enforced by the scaling benchmark).
+    dot products the decode actually performed (the FLOPs proxy the
+    scaling benchmarks enforce).
     ``block_size`` is the row grid the scan ran on; :meth:`row_scores`
     replays its blocks.
 
     ``worker_rss_mb`` is the *sum* of the forked workers' peak RSS when the
     decode ran sharded (``num_workers > 1``), zero otherwise.  The parent's
     ``getrusage`` cannot provide this figure — ``RUSAGE_CHILDREN`` tracks
-    only the single largest terminated child — so the efficiency experiment
-    adds it to the parent's own peak to report true multi-process memory.
+    only the single largest terminated child — so the out-of-core
+    benchmark adds it to the parent's own peak to report multi-process
+    memory.
     """
 
     shape: tuple[int, int]
@@ -238,8 +239,8 @@ class PartialTopK:
     CSLS column means are computed from; it is ``None`` on the
     candidate-restricted path (no CSLS statistics there).
     ``worker_rss_mb`` is the producing process's peak RSS — summed by the
-    merge so the efficiency experiment can report true multi-process
-    memory instead of the parent's RSS alone.
+    merge so the out-of-core benchmark can report multi-process memory
+    instead of the parent's RSS alone.
     """
 
     rows: np.ndarray               # (m,) global source row ids, ascending

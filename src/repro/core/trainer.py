@@ -132,7 +132,7 @@ class TrainingLoop:
         """The candidate-generation config with the training seed threaded in.
 
         One ``TrainingConfig.seed`` must deterministically drive the
-        neighbour sampler, the batch loader *and* the k-means / hyperplane
+        neighbour sampler, the batch loader *and* the k-means
         initialisation, so an ``ann`` config without an explicit seed
         inherits the training seed here.
         """
@@ -145,8 +145,8 @@ class TrainingLoop:
 
         Encodes the way the loop's evaluator does.  Approximate candidates
         are only admissible here when escalation makes the per-row/per-column
-        top-1 provably exact — IVF escalates, LSH cannot (rejected at config
-        construction).  The warm start re-fits each round's quantiser from
+        top-1 provably exact — IVF escalates; every other generator is
+        rejected at config construction.  The warm start re-fits each round's quantiser from
         the previous round's centroids; escalation keeps the selection
         exact, so the pseudo-seed pairs are independent of that history.
         """

@@ -25,9 +25,9 @@ class Evaluator:
     ``encode_batch_size`` pick the encoder path
     (``encode="sampled"`` is the neighbour-sampled training pipeline's
     batched inference).  ``ranking="csls"`` ranks on CSLS-rescaled
-    similarities.  ``candidates="ivf" | "lsh"`` (with an optional
-    :class:`~repro.core.ann.AnnConfig`) restricts the decode to approximate
-    candidate sets; such decodes are scored with honest recall-style ranks
+    similarities.  ``candidates="ivf"`` or a registered plug-in generator
+    (with an optional :class:`~repro.core.ann.AnnConfig`) restricts the
+    decode to approximate candidate sets; such decodes are scored with honest recall-style ranks
     and refuse CSLS ranking rather than degrade silently.
     """
 

@@ -216,19 +216,18 @@ class IncrementalAligner:
                 "model attached")
         spec = aligner.spec
         decode = spec.decode
-        if decode.candidates == "lsh":
+        if decode.candidates not in {"exhaustive", "ivf"}:
             raise ValueError(
                 "incremental ingestion supports candidates='ivf' or "
-                "'exhaustive'; LSH tables have no centroid structure to "
-                "insert new vectors into")
-        if decode.candidates == "ivf":
-            config = resolve_ann(decode.ann, spec.training.seed)
-            if config.exact_escalation or config.adaptive_slack > 0.0:
-                raise ValueError(
-                    "incremental ingestion does not support exact-escalation "
-                    "or adaptive-slack IVF decodes (their per-query probe "
-                    "sets depend on bucket radii that in-place inserts only "
-                    "over-approximate); decode with plain nprobe probing")
+                f"'exhaustive'; {decode.candidates!r} has no centroid "
+                "structure to insert new vectors into")
+        if (decode.candidates == "ivf"
+                and resolve_ann(decode.ann, spec.training.seed).exact_escalation):
+            raise ValueError(
+                "incremental ingestion does not support exact-escalation IVF "
+                "decodes (their per-query probe sets depend on bucket radii "
+                "that in-place inserts only over-approximate); decode with "
+                "plain nprobe probing")
         model_config = getattr(aligner.model, "config", None)
         if (decode.use_propagation
                 and getattr(model_config, "propagation_iters", 0) > 0

@@ -2,7 +2,7 @@
 
 This is the stable, declarative entry point over the engines the previous
 PRs built (CSR graph operators, blockwise decoding, neighbour-sampled
-training, IVF/LSH candidate generation):
+training, IVF candidate generation):
 
 .. code-block:: python
 
@@ -280,9 +280,9 @@ class Aligner:
         """The (cached) candidate sets of the spec's generator, fitted once.
 
         ``None`` for exhaustive decoding or when the generator proves
-        complete coverage.  Building this is where the IVF quantiser /
-        LSH tables are fitted; every subsequent ``align``/``rank``/``save``
-        reuses the result.
+        complete coverage.  Building this is where the IVF quantiser (or a
+        plug-in generator's structure) is fitted; every subsequent
+        ``align``/``rank``/``save`` reuses the result.
         """
         if not self._candidates_ready:
             with self._fill_lock:

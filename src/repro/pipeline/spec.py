@@ -20,7 +20,7 @@ spec``, and ``from_json_file`` / ``to_json_file`` move them through plain
 JSON (tuples become lists on the way out and are restored on the way in).
 Unknown keys and illegal combinations are rejected with actionable
 messages; every cross-field legality rule — candidates × ranking,
-iterative × LSH, patience × cadence, sampling capability — is enforced
+iterative × candidates, patience × cadence, sampling capability — is enforced
 in exactly one place,
 :meth:`PipelineSpec.validate`, through the shared rule functions of
 :mod:`repro.core.rules`.
@@ -84,11 +84,25 @@ def _tuple_or_none(value):
     return tuple(value)
 
 
+#: Keys saved specs may carry that ``AnnConfig`` no longer has, with the
+#: one value each still loads at (``None``: any value).  ``tables`` and
+#: ``hyperplanes`` only shaped LSH, now ``examples/lsh_candidate_plugin.py``.
+_REMOVED_ANN_KEYS = {"tables": None, "hyperplanes": None,
+                     "adaptive_slack": 0.0, "gather": "edge"}
+
+
 def _ann_from_payload(value, section: str) -> AnnConfig | None:
     if value is None or isinstance(value, AnnConfig):
         return value
-    data = _check_keys(AnnConfig, value, f"{section}.ann")
-    return AnnConfig(**data)
+    if isinstance(value, dict):
+        value = dict(value)
+        for key, kept in _REMOVED_ANN_KEYS.items():
+            found = value.pop(key, kept)
+            if kept is not None and found != kept:
+                raise ValueError(
+                    f"{section}.ann.{key}={found!r} was removed; saved specs "
+                    f"load only with {key}={kept!r}, which every decode does")
+    return AnnConfig(**_check_keys(AnnConfig, value, f"{section}.ann"))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ One process loads an artifact once and answers many concurrent
   :class:`~repro.pipeline.Aligner`; a micro-batcher coalesces requests
   arriving within a small window into one row-subset decode over the
   union of rows, a bounded worker pool executes batches, and a result
-  cache (frequency-sketch admission by default) serves hot entities
+  cache (frequency-sketch admission) serves hot entities
   without touching the decoder.  Results are bit-identical to direct
   ``Aligner.rank`` calls.
 * :class:`ServingServer` / :class:`ServingClient` — a newline-delimited

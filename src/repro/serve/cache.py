@@ -8,13 +8,12 @@ cache).  Values are per-entity ``(target_ids, scores, approximate)``
 triples; serving a hot entity is then a dictionary lookup instead of a
 decode.
 
-Two admission policies are available.  ``"lru"`` admits every insert and
-evicts the least recently used entry on overflow.  ``"frequency"``
-(TinyLFU-style, the engine's default) keeps a count-min sketch of access
-frequencies and, when the cache is full, only admits a new key if its
-estimated frequency exceeds that of the LRU victim it would displace —
-so a flood of one-shot keys (an adversarial scan, a cold crawl) cannot
-wash the hot working set out of the cache.
+Admission is TinyLFU-style: a count-min sketch tracks access frequencies
+and, when the cache is full, a new key is only admitted if its estimated
+frequency is at least that of the least recently used victim it would
+displace — so a flood of one-shot keys (an adversarial scan, a cold crawl)
+cannot wash the hot working set out of the cache.  Below capacity every
+insert is admitted, and overflow evicts in LRU order.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from collections import OrderedDict
 import numpy as np
 
 __all__ = ["FrequencySketch", "ResultCache"]
-
-ADMISSION_POLICIES = ("lru", "frequency")
 
 
 class FrequencySketch:
@@ -96,24 +93,17 @@ class FrequencySketch:
 class ResultCache:
     """Bounded mapping with hit/miss/eviction/rejection counters.
 
-    ``admission="lru"`` (the class default, preserving plain-LRU
-    behaviour) admits unconditionally; ``admission="frequency"`` gates
-    inserts through a :class:`FrequencySketch` when the cache is full.
+    Inserts into a full cache are gated through a :class:`FrequencySketch`
+    (see the module docstring).
     """
 
-    def __init__(self, max_entries: int = 4096, admission: str = "lru"):
+    def __init__(self, max_entries: int = 4096):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
-        if admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"admission must be one of {ADMISSION_POLICIES}, "
-                f"got {admission!r}")
         self.max_entries = int(max_entries)
-        self.admission = admission
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
-        self._sketch = (FrequencySketch() if admission == "frequency"
-                        else None)
+        self._sketch = FrequencySketch()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -127,8 +117,7 @@ class ResultCache:
     def get(self, key):
         """The cached value (refreshing its recency) or ``None``."""
         with self._lock:
-            if self._sketch is not None:
-                self._sketch.touch(key)
+            self._sketch.touch(key)
             try:
                 value = self._entries[key]
             except KeyError:
@@ -141,19 +130,17 @@ class ResultCache:
     def put(self, key, value) -> None:
         """Insert (or refresh) ``key``, evicting the least recent overflow.
 
-        Under frequency admission a *new* key arriving at a full cache is
-        only admitted when the sketch estimates it at least as popular as
-        the LRU victim it would displace; otherwise the insert is counted
-        in ``rejections`` and dropped.  Refreshes of resident keys are
-        always applied.
+        A *new* key arriving at a full cache is only admitted when the
+        sketch estimates it at least as popular as the LRU victim it would
+        displace; otherwise the insert is counted in ``rejections`` and
+        dropped.  Refreshes of resident keys are always applied.
         """
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self._entries[key] = value
                 return
-            if (self._sketch is not None
-                    and len(self._entries) >= self.max_entries):
+            if len(self._entries) >= self.max_entries:
                 victim = next(iter(self._entries))
                 if (self._sketch.estimate(key)
                         < self._sketch.estimate(victim)):
@@ -183,7 +170,6 @@ class ResultCache:
             return {
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
-                "admission": self.admission,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,

@@ -97,9 +97,9 @@ class ServingEngine:
     Tuning knobs: ``batch_window`` (seconds the micro-batcher waits for
     company), ``max_batch`` (entity rows per coalesced batch),
     ``pool_size`` / ``queue_size`` (decode workers and their backpressure
-    bound), ``cache_size`` (result-cache entries), ``cache_admission``
-    (``"frequency"`` — the default, TinyLFU-style sketch gate — or plain
-    ``"lru"``) and ``default_timeout`` (per-request deadline, seconds).
+    bound), ``cache_size`` (result-cache entries, admitted through a
+    TinyLFU-style frequency gate) and ``default_timeout`` (per-request
+    deadline, seconds).
     ``fault_injector`` accepts a seeded
     :class:`~repro.serve.faults.FaultInjector` whose decode-failure,
     latency and worker-death hooks exercise the engine's isolation
@@ -110,9 +110,8 @@ class ServingEngine:
                  max_batch: int = 64, pool_size: int = 2,
                  queue_size: int = 128, cache_size: int = 4096,
                  default_timeout: float = 30.0,
-                 cache_admission: str = "frequency",
                  fault_injector: FaultInjector | None = None):
-        self._cache = ResultCache(cache_size, admission=cache_admission)
+        self._cache = ResultCache(cache_size)
         self._faults = fault_injector
         self._pool = WorkerPool(num_workers=pool_size, queue_size=queue_size)
         self._batcher = MicroBatcher(self._dispatch, window=batch_window,

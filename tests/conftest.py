@@ -7,10 +7,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 # Make the shared brute-force oracles (tests/oracles.py) importable from
 # every test module regardless of its subdirectory.
 sys.path.insert(0, os.path.dirname(__file__))
+
+# Property tests draw the same examples on every run (``tier1``, the
+# default), so a pass or failure depends on the code alone.  ``explore``
+# (``--hypothesis-profile=explore``) draws at random and replays failures
+# from the example database.  The test modules' own ``settings(...)``
+# objects are built after this import, so they inherit the loaded profile.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.register_profile("explore", deadline=None)
+settings.load_profile("tier1")
 
 from repro.core.task import prepare_task
 from repro.data.synthetic import SyntheticPairConfig, generate_pair

@@ -10,7 +10,6 @@ from repro.core.ann import (
     AnnConfig,
     IVFIndex,
     IVFWarmStart,
-    RandomHyperplaneLSH,
     RowCandidates,
     flops_counter,
     generate_candidates,
@@ -210,32 +209,11 @@ class TestIVFWarmStart:
         assert recall_at_k(approx.indices, exact.indices, k=1) == 1.0
 
 
-class TestLSH:
-    def test_candidates_contain_self_match(self, clustered_embeddings):
-        _, target = clustered_embeddings
-        index = RandomHyperplaneLSH(target, tables=6, hyperplanes=8, seed=0)
-        cands = index.candidates(target)
-        # every vector collides with itself in every table
-        for row in range(len(target)):
-            assert row in cands.row(row)
-
-    def test_too_many_hyperplanes_rejected(self, clustered_embeddings):
-        _, target = clustered_embeddings
-        with pytest.raises(ValueError):
-            RandomHyperplaneLSH(target, hyperplanes=63)
-
-
 class TestGenerateCandidates:
     def test_unknown_method_rejected(self, clustered_embeddings):
         source, target = clustered_embeddings
         with pytest.raises(ValueError):
             generate_candidates("annoy", source, target)
-
-    def test_lsh_escalation_rejected(self, clustered_embeddings):
-        source, target = clustered_embeddings
-        with pytest.raises(ValueError, match="escalation"):
-            generate_candidates("lsh", source, target,
-                                AnnConfig(exact_escalation=True))
 
     def test_min_candidates_floor(self, clustered_embeddings):
         source, target = clustered_embeddings
@@ -339,7 +317,7 @@ class TestCandidateDecode:
     def test_flops_counter_reports_subquadratic_work(self, clustered_embeddings):
         source, target = clustered_embeddings
         with flops_counter() as counter:
-            cands = generate_candidates("lsh", source, target, AnnConfig(seed=0))
+            cands = generate_candidates("ivf", source, target, AnnConfig(seed=0))
             topk = blockwise_topk(source, target, k=5, row_candidates=cands)
         cells = topk.shape[0] * topk.shape[1]
         assert 0 < topk.computed_cells < cells
@@ -403,14 +381,18 @@ class TestDecodeDispatch:
 
 class TestBucketGroupedGather:
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="gather"):
-            AnnConfig(gather="bogus")
+        # gather and adaptive_slack left AnnConfig; saved specs still carry
+        # them and load only at the value every decode has.
+        def ann(**fields):
+            return DecodeSpec.from_dict({"candidates": "ivf", "ann": fields}).ann
+
+        with pytest.raises(ValueError, match="gather='bogus' was removed"):
+            ann(gather="bogus")
         with pytest.raises(ValueError, match="gather='bucket' was removed"):
-            AnnConfig(gather="bucket")
-        assert DecodeSpec.from_dict(
-            {"candidates": "ivf", "ann": {"gather": "edge"}}).ann == AnnConfig()
-        with pytest.raises(ValueError, match="adaptive_slack"):
-            AnnConfig(adaptive_slack=-0.1)
+            ann(gather="bucket")
+        assert ann(gather="edge") == AnnConfig()
+        with pytest.raises(ValueError, match="adaptive_slack=-0.1 was removed"):
+            ann(adaptive_slack=-0.1)
         with pytest.raises(ValueError, match="train_size"):
             AnnConfig(train_size=0)
 
@@ -428,12 +410,9 @@ class TestAdaptiveNprobe:
             self, clustered_embeddings):
         source, target = clustered_embeddings
         exact = blockwise_topk(source, target, k=1)
-        tight = generate_candidates(
-            "ivf", source, target,
-            AnnConfig(seed=0, exact_escalation=True))
-        loose = generate_candidates(
-            "ivf", source, target,
-            AnnConfig(seed=0, exact_escalation=True, adaptive_slack=0.5))
+        index = IVFIndex(target, seed=0)
+        tight = index.escalated_candidates(source)
+        loose = index.escalated_candidates(source, slack=0.5)
         assert loose.total < tight.total
         approx = blockwise_topk(source, target, k=1, row_candidates=loose)
         assert recall_at_k(approx.indices, exact.indices, k=1) >= 0.9

@@ -90,48 +90,6 @@ class TestEfficiency:
         desalign_row = result.filter(model="DESAlign")[0]
         assert propagation_row["decode_seconds"] < desalign_row["train_seconds"]
 
-    def test_end_to_end_flops_row_covers_encode_and_decode(self):
-        result = run_efficiency(scale=TINY, models=("DESAlign",))
-        row = result.filter(model="flops-encode-decode")[0]
-        assert row["encode_cells"] > 0
-        assert row["decode_cells"] > 0
-        assert row["total_cells"] == row["encode_cells"] + row["decode_cells"]
-
-    def test_sharded_rows_report_multiprocess_memory_and_identity(self):
-        # The profiler streams 512-row blocks; 1200 entities gives three
-        # blocks, enough for real forked shards (one block would fall back
-        # to the in-process scan and report no worker RSS).
-        result = run_efficiency(scale=TINY, models=("EVA",),
-                                decode_scales=(1200,))
-        serial = result.filter(model="decode-sharded-serial")[0]
-        sharded = [row for row in result.rows
-                   if row["model"].startswith("decode-sharded-w")]
-        assert serial["workers"] == 1
-        assert serial["worker_rss_mb"] == 0.0
-        assert sharded, "expected at least one multi-worker row"
-        for row in sharded:
-            # the bit-identity pin, and a true (parent + workers) RSS figure
-            assert row["identical"] is True
-            assert row["worker_rss_mb"] > 0.0
-            assert row["rss_mb"] > serial["rss_mb"] - 1e-9
-            assert row["flops_fraction"] == serial["flops_fraction"] == 1.0
-
-    def test_max_rss_accounts_for_children(self):
-        from repro.experiments.efficiency import _worker_rss_of, max_rss_mb
-
-        parent_only = max_rss_mb()
-        assert parent_only > 0
-        # a self-reported worker sum larger than RUSAGE_CHILDREN's floor is
-        # folded in additively
-        assert max_rss_mb(parent_only + 500.0) >= parent_only + 500.0
-
-        class _Decode:
-            worker_rss_mb = 12.5
-
-        assert _worker_rss_of(_Decode()) == 12.5
-        assert _worker_rss_of((_Decode(), 7)) == 12.5
-        assert _worker_rss_of("plain") == 0.0
-
 
 class TestFig3Ablation:
     def test_variants_cover_modalities_losses_and_propagation(self):

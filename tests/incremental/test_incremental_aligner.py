@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.ann import AnnConfig
+from repro.core.registries import CANDIDATE_REGISTRY
 from repro.core.similarity import blockwise_topk
 from repro.incremental import DeltaBatch, IncrementalAligner, SideDelta
 from repro.pipeline import (Aligner, AlignmentPipeline, CUSTOM_DATASET,
@@ -173,7 +174,10 @@ class TestArtifactRoundTrip:
 
 
 class TestRejections:
-    def test_lsh_candidates_rejected(self, artifact):
+    def test_lsh_candidates_rejected(self, artifact, monkeypatch):
+        # LSH is a plug-in now (examples/lsh_candidate_plugin.py); only IVF
+        # has centroids to insert into.
+        monkeypatch.setitem(CANDIDATE_REGISTRY, "lsh", lambda *args: None)
         base = Aligner.load(artifact)
         lsh = base.with_decode(replace(base.spec.decode, candidates="lsh"))
         with pytest.raises(ValueError, match="no centroid structure"):

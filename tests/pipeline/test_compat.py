@@ -2,19 +2,23 @@
 consolidated legality rule still rejects from every entry surface with its
 single-source message."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.core.ann import AnnConfig
 from repro.core.config import DESAlignConfig, TrainingConfig
 from repro.core.model import DESAlign
+from repro.core.registries import CANDIDATE_REGISTRY
 from repro.core.similarity import blockwise_topk
 from repro.core.task import prepare_task
 from repro.core.trainer import Trainer
 from repro.data.benchmarks import load_benchmark
 from repro.eval.evaluator import Evaluator
 from repro.pipeline import (
+    Aligner,
     AlignmentPipeline,
     DataSpec,
     DecodeSpec,
@@ -83,8 +87,11 @@ class TestSimilarityShim:
 class TestConsolidatedRules:
     """Each rejected combination, regression-tested on every entry surface."""
 
-    def test_training_config_rejects_iterative_lsh(self):
-        with pytest.raises(ValueError, match="LSH"):
+    def test_training_config_rejects_iterative_lsh(self, monkeypatch):
+        # LSH is a plug-in now (examples/lsh_candidate_plugin.py); a
+        # registered generator other than ivf still proves no top-1.
+        monkeypatch.setitem(CANDIDATE_REGISTRY, "lsh", lambda *args: None)
+        with pytest.raises(ValueError, match="'lsh' cannot offer"):
             TrainingConfig(iterative=True, candidates="lsh")
 
     def test_training_config_rejects_patience_without_cadence(self):
@@ -115,3 +122,89 @@ class TestConsolidatedRules:
         evaluator_csls = capture(lambda: Evaluator(tiny_task, ranking="csls",
                                                    candidates="ivf"))
         assert spec_csls == evaluator_csls
+
+
+#: The ``ann`` payload every saved-spec case extends.
+SAVED_ANN = {"n_clusters": 4, "nprobe": 2, "seed": 5}
+
+#: Removed ``AnnConfig`` keys at values that load as if absent:
+#: ``tables`` / ``hyperplanes`` at any value (they only shaped LSH).
+INERT_ANN_KEYS = [{"tables": 8, "hyperplanes": 12},
+                  {"tables": 3, "hyperplanes": 40},
+                  {"adaptive_slack": 0.0},
+                  {"gather": "edge"}]
+
+#: Removed ``AnnConfig`` keys at values whose behaviour is gone.
+REMOVED_ANN_VALUES = [{"adaptive_slack": 0.3}, {"gather": "bucket"}]
+
+
+@pytest.fixture(scope="module")
+def ivf_aligner(tiny_task):
+    ann = AnnConfig(**SAVED_ANN)
+    spec = PipelineSpec(
+        data=DataSpec(dataset="custom", num_entities=36, seed=0),
+        model=ModelSpec(name="DESAlign", hidden_dim=16, seed=0),
+        training=TrainingConfig(epochs=1, eval_every=0, seed=0,
+                                candidates="ivf", ann=ann),
+        decode=DecodeSpec(candidates="ivf", ann=ann, k=5),
+    )
+    return AlignmentPipeline.from_spec(spec).fit(tiny_task)
+
+
+def _with_saved_ann_keys(directory, extra: dict,
+                         sections=("training", "decode")) -> None:
+    """Rewrite an artifact's spec.json as if saved with ``extra`` ann keys."""
+    path = directory / "spec.json"
+    payload = json.loads(path.read_text())
+    for section in sections:
+        payload["spec"][section]["ann"].update(extra)
+    path.write_text(json.dumps(payload))
+
+
+class TestSavedAnnKeys:
+    """Specs and artifacts saved before ``AnnConfig`` lost four fields."""
+
+    @pytest.mark.parametrize("section", ["training", "decode"])
+    @pytest.mark.parametrize("extra", INERT_ANN_KEYS,
+                             ids=lambda extra: "-".join(f"{key}={value}"
+                                                        for key, value in extra.items()))
+    def test_inert_keys_load_as_if_absent(self, section, extra):
+        payload = {section: {"candidates": "ivf",
+                             "ann": {**SAVED_ANN, **extra}}}
+        spec = PipelineSpec.from_dict(payload)
+        assert getattr(spec, section).ann == AnnConfig(**SAVED_ANN)
+
+    @pytest.mark.parametrize("section", ["training", "decode"])
+    @pytest.mark.parametrize("removed", REMOVED_ANN_VALUES,
+                             ids=lambda removed: "-".join(removed))
+    def test_removed_values_raise_naming_the_removal(self, section, removed,
+                                                     ivf_aligner, tmp_path):
+        (key, value), = removed.items()
+        message = f"{section}.ann.{key}={value!r} was removed"
+        with pytest.raises(ValueError, match=message):
+            PipelineSpec.from_dict({section: {
+                "candidates": "ivf", "ann": {**SAVED_ANN, **removed}}})
+        directory = ivf_aligner.save(tmp_path / "artifact")
+        _with_saved_ann_keys(directory, removed, sections=(section,))
+        with pytest.raises(ValueError, match=message):
+            Aligner.load(directory)
+
+    @pytest.mark.parametrize("section", ["training", "decode"])
+    def test_lsh_without_its_plugin_lists_the_registered_generators(
+            self, section):
+        with pytest.raises(ValueError, match=r"registered candidate generator "
+                                             r"\(\['exhaustive', 'ivf'\]\), "
+                                             r"got 'lsh'"):
+            PipelineSpec.from_dict({section: {"candidates": "lsh"}})
+
+    def test_artifact_with_all_four_keys_loads_and_aligns_bit_identically(
+            self, ivf_aligner, tmp_path):
+        directory = ivf_aligner.save(tmp_path / "artifact")
+        _with_saved_ann_keys(directory, {"tables": 8, "hyperplanes": 12,
+                                         "adaptive_slack": 0.0,
+                                         "gather": "edge"})
+        loaded = Aligner.load(directory)
+        assert loaded.spec == ivf_aligner.spec
+        fitted, reloaded = ivf_aligner.align(5), loaded.align(5)
+        assert np.array_equal(reloaded.target_ids, fitted.target_ids)
+        assert np.array_equal(reloaded.scores, fitted.scores)

@@ -352,7 +352,8 @@ class TestPersistence:
         payload["spec"]["decode"].update(candidates="ivf",
                                          ann={"gather": "bucket"})
         (directory / "spec.json").write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="gather='bucket' was removed"):
+        with pytest.raises(ValueError,
+                           match="decode.ann.gather='bucket' was removed"):
             Aligner.load(directory)
 
     def test_loaded_preset_artifact_evaluates_without_propagation(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.ann import AnnConfig
 from repro.core.config import TrainingConfig
+from repro.core.registries import CANDIDATE_REGISTRY
 from repro.pipeline import (
     AlignmentPipeline,
     DataSpec,
@@ -137,14 +138,6 @@ class TestValidation:
         spec = PipelineSpec(decode=DecodeSpec(num_workers=4))
         assert PipelineSpec.from_dict(spec.to_dict()) == spec
 
-    def test_ann_gather_and_slack_round_trip_and_validate(self):
-        spec = PipelineSpec(decode=DecodeSpec(
-            candidates="ivf",
-            ann=AnnConfig(adaptive_slack=0.25, train_size=1000)))
-        assert PipelineSpec.from_dict(spec.to_dict()) == spec
-        with pytest.raises(ValueError, match="gather"):
-            AnnConfig(gather="grouped")
-
     def test_csls_ranking_refuses_approximate_candidates(self):
         with pytest.raises(ValueError, match="CSLS"):
             PipelineSpec(decode=DecodeSpec(ranking="csls",
@@ -161,10 +154,25 @@ class TestValidation:
             spec = PipelineSpec.from_dict({"decode": {"decode": name}})
             assert spec.decode.decode == name
 
-    def test_iterative_refuses_lsh(self):
-        # TrainingConfig rejects this at construction (same rule function);
-        # validate() covers the composed object too.
-        with pytest.raises(ValueError, match="LSH"):
+    def test_ann_gather_and_slack_round_trip_and_validate(self):
+        spec = PipelineSpec(decode=DecodeSpec(
+            candidates="ivf", ann=AnnConfig(train_size=1000)))
+        assert PipelineSpec.from_dict(spec.to_dict()) == spec
+        # Saved specs may still carry the removed keys at their inert values.
+        payload = spec.to_dict()
+        payload["decode"]["ann"].update(adaptive_slack=0.0, gather="edge")
+        assert PipelineSpec.from_dict(payload) == spec
+        payload["decode"]["ann"]["gather"] = "grouped"
+        with pytest.raises(ValueError, match="gather='grouped' was removed"):
+            PipelineSpec.from_dict(payload)
+
+    def test_iterative_refuses_lsh(self, monkeypatch):
+        # LSH is a plug-in (examples/lsh_candidate_plugin.py); registered,
+        # it still proves no top-1.  TrainingConfig rejects this at
+        # construction (same rule function); validate() covers the
+        # composed object too.
+        monkeypatch.setitem(CANDIDATE_REGISTRY, "lsh", lambda *args: None)
+        with pytest.raises(ValueError, match="'lsh' cannot offer"):
             PipelineSpec(training=TrainingConfig(iterative=True,
                                                  candidates="lsh")).validate()
 

@@ -1,4 +1,4 @@
-"""Property-based guarantees of the IVF/LSH candidate-generation layer.
+"""Property-based guarantees of the IVF candidate-generation layer.
 
 Three contracts, each over random seeded geometries:
 
@@ -11,7 +11,7 @@ Three contracts, each over random seeded geometries:
   decode *bit for bit* (same dispatch, same arrays).
 * **Determinism** — candidate sets are a pure function of the inputs and
   the seed: regenerating with the same seed yields identical structures,
-  for IVF and LSH alike.
+  probed and escalated alike.
 """
 
 import numpy as np
@@ -98,12 +98,12 @@ class TestCompleteProbingIsExhaustive:
 
 class TestDeterminism:
     @SETTINGS
-    @given(random_geometry(), st.sampled_from(["ivf", "lsh"]))
-    def test_candidates_reproducible_for_fixed_seed(self, case, method):
+    @given(random_geometry())
+    def test_candidates_reproducible_for_fixed_seed(self, case):
         source, target, ann_seed = case
         config = AnnConfig(seed=ann_seed)
-        first = generate_candidates(method, source, target, config)
-        second = generate_candidates(method, source, target, config)
+        first = generate_candidates("ivf", source, target, config)
+        second = generate_candidates("ivf", source, target, config)
         assert np.array_equal(first.indptr, second.indptr)
         assert np.array_equal(first.indices, second.indices)
 

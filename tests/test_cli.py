@@ -241,8 +241,7 @@ SMOKE_KWARGS = {
                    include_iterative=False),
     "table5": dict(datasets=("DBP15K_JA_EN",), non_iterative_models=("EVA",),
                    include_iterative=False),
-    "table6_efficiency": dict(models=("DESAlign",), decode_scales=(120,),
-                              train_entities=60),
+    "table6_efficiency": dict(models=("DESAlign",)),
     "fig3_left": dict(variants=("full", "w/o PP")),
     "fig3_right": dict(datasets=("FBDB15K",), seed_ratios=(0.2,),
                        models=("DESAlign",)),
