@@ -13,6 +13,7 @@ with ``EXPERIMENTS.md`` and with the paper.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 
@@ -62,3 +63,39 @@ def run_once(benchmark, fn, *args, **kwargs):
         handle.write(result.to_table() + "\n")
     result.to_json(os.path.join(RESULTS_DIR, f"{result.experiment}.json"))
     return result
+
+
+#: Model-name prefixes of the rows that the serving, out-of-core and
+#: incremental benchmarks splice into ``results/efficiency.json``.
+SPLICED_PREFIXES = ("incremental-", "outofcore-", "serving-")
+
+
+def splice_efficiency_rows(prefix: str, rows: list[dict]) -> None:
+    """Replace the ``prefix`` rows of ``results/efficiency.json`` with ``rows``.
+
+    The Sec. V-E rows that ``test_efficiency.py`` writes stay first, in the
+    order the experiment writes them; the spliced rows follow, sorted by
+    model name, so the file's row order does not depend on which benchmark
+    ran last.
+    """
+    if prefix not in SPLICED_PREFIXES:
+        raise ValueError(f"unknown spliced-row prefix {prefix!r}")
+    path = os.path.join(RESULTS_DIR, "efficiency.json")
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    else:  # pragma: no cover - efficiency benchmark not run yet
+        payload = {"experiment": "efficiency", "description": "",
+                   "parameters": {}, "rows": []}
+    section, spliced = [], list(rows)
+    for row in payload.get("rows", []):
+        model = str(row.get("model", ""))
+        if not model.startswith(SPLICED_PREFIXES):
+            section.append(row)
+        elif not model.startswith(prefix):
+            spliced.append(row)
+    payload["rows"] = section + sorted(spliced, key=lambda row: row["model"])
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")

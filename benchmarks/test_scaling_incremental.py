@@ -56,7 +56,7 @@ from repro.kg.pair import KGPair
 from repro.pipeline import (AlignmentPipeline, DataSpec, DecodeSpec,
                             DeltaSpec, ModelSpec, PipelineSpec)
 
-from conftest import FULL, RESULTS_DIR
+from conftest import FULL, splice_efficiency_rows
 
 _PRESETS = {
     "smoke": {"entities": 160, "epochs": 80, "n_clusters": 16, "nprobe": 2},
@@ -291,35 +291,22 @@ def _run_incremental(preset: dict) -> dict:
 
 def _splice_incremental_rows(report: dict) -> None:
     """Replace the ``incremental-*`` rows of ``results/efficiency.json``."""
-    path = os.path.join(RESULTS_DIR, "efficiency.json")
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    else:  # pragma: no cover - efficiency benchmark not run yet
-        payload = {"experiment": "efficiency", "description": "",
-                   "parameters": {}, "rows": []}
-    rows = [row for row in payload.get("rows", [])
-            if not str(row.get("model", "")).startswith("incremental-")]
     common = {"dataset": "synthetic", "entities": report["entities"],
               "growth": report["growth"]}
-    rows.append({**common, "model": "incremental-refit",
-                 "fit_seconds": round(report["refit_seconds"], 3),
-                 "hits1": round(report["hits_refit"], 4)})
-    rows.append({**common, "model": "incremental-ingest",
-                 "batches": len(report["batches"]),
-                 "mean_ingest_seconds": round(report["mean_ingest_seconds"],
-                                              4),
-                 "rows_encoded": report["total_rows_encoded"],
-                 "rows_decoded": report["total_rows_decoded"],
-                 "decoded_fraction": round(report["decoded_fraction"], 4),
-                 "tail_rows_decoded": report["tail_rows_decoded"],
-                 "hits1": round(report["hits_incremental"], 4),
-                 "speedup": round(report["speedup"], 1)})
-    payload["rows"] = rows
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    splice_efficiency_rows("incremental-", [
+        {**common, "model": "incremental-refit",
+         "fit_seconds": round(report["refit_seconds"], 3),
+         "hits1": round(report["hits_refit"], 4)},
+        {**common, "model": "incremental-ingest",
+         "batches": len(report["batches"]),
+         "mean_ingest_seconds": round(report["mean_ingest_seconds"], 4),
+         "rows_encoded": report["total_rows_encoded"],
+         "rows_decoded": report["total_rows_decoded"],
+         "decoded_fraction": round(report["decoded_fraction"], 4),
+         "tail_rows_decoded": report["tail_rows_decoded"],
+         "hits1": round(report["hits_incremental"], 4),
+         "speedup": round(report["speedup"], 1)},
+    ])
 
 
 def test_streamed_growth_vs_refit(benchmark):

@@ -49,7 +49,7 @@ from repro.core.ann import IVFIndex, RowCandidates, _normalize_rows, flops_count
 from repro.core.similarity import blockwise_topk
 from repro.core.store import EmbeddingStore, allocate_npy
 
-from conftest import FULL, RESULTS_DIR
+from conftest import FULL, splice_efficiency_rows
 from test_scaling_decode import forbid_dense_similarity_matrices
 
 _PRESETS = {"smoke": 50_000, "mid": 200_000, "full": 1_000_000}
@@ -303,38 +303,26 @@ def _run_outofcore(workdir: str) -> dict:
 
 def _splice_outofcore_rows(report: dict) -> None:
     """Replace the ``outofcore-*`` rows of ``results/efficiency.json``."""
-    path = os.path.join(RESULTS_DIR, "efficiency.json")
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    else:  # pragma: no cover - efficiency benchmark not run yet
-        payload = {"experiment": "efficiency", "description": "",
-                   "parameters": {}, "rows": []}
-    rows = [row for row in payload.get("rows", [])
-            if not str(row.get("model", "")).startswith("outofcore-")]
     common = {"dataset": "synthetic", "entities": report["entities"],
               "flops_fraction": round(report["flops_fraction"], 6),
               "recall1": round(report["recall1"], 4)}
-    rows.append({**common, "model": "outofcore-serial",
-                 "decode_seconds": round(report["serial"]["seconds"], 3),
-                 "rows_per_second": round(report["entities"]
-                                          / report["serial"]["seconds"], 1),
-                 "rss_mb": round(report["serial"]["rss_mb"], 1)})
-    rows.append({**common, "model": f"outofcore-sharded-w{report['workers']}",
-                 "workers": report["workers"],
-                 "decode_seconds": round(report["sharded"]["seconds"], 3),
-                 "rows_per_second": round(report["entities"]
-                                          / report["sharded"]["seconds"], 1),
-                 "rss_mb": round(report["sharded"]["parent_rss_delta_mb"]
-                                 + report["sharded"]["worker_rss_mb"], 1),
-                 "worker_rss_mb": round(report["sharded"]["worker_rss_mb"], 1),
-                 "speedup": round(report["speedup"], 2),
-                 "identical": report["identical"]})
-    payload["rows"] = rows
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    splice_efficiency_rows("outofcore-", [
+        {**common, "model": "outofcore-serial",
+         "decode_seconds": round(report["serial"]["seconds"], 3),
+         "rows_per_second": round(report["entities"]
+                                  / report["serial"]["seconds"], 1),
+         "rss_mb": round(report["serial"]["rss_mb"], 1)},
+        {**common, "model": f"outofcore-sharded-w{report['workers']}",
+         "workers": report["workers"],
+         "decode_seconds": round(report["sharded"]["seconds"], 3),
+         "rows_per_second": round(report["entities"]
+                                  / report["sharded"]["seconds"], 1),
+         "rss_mb": round(report["sharded"]["parent_rss_delta_mb"]
+                         + report["sharded"]["worker_rss_mb"], 1),
+         "worker_rss_mb": round(report["sharded"]["worker_rss_mb"], 1),
+         "speedup": round(report["speedup"], 2),
+         "identical": report["identical"]},
+    ])
 
 
 def test_outofcore_sharded_decode(benchmark, tmp_path):

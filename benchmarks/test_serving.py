@@ -38,7 +38,7 @@ from repro.pipeline import (
 )
 from repro.serve import ServingEngine
 
-from conftest import FULL, RESULTS_DIR
+from conftest import FULL, splice_efficiency_rows
 
 NUM_CLIENTS = 32
 NUM_REQUESTS = 2048 if FULL else 1024
@@ -154,34 +154,22 @@ def _run_serving_benchmark(tmp_dir: str, num_entities: int) -> dict:
 
 def _splice_serving_rows(report: dict) -> None:
     """Replace the ``serving-*`` rows of ``results/efficiency.json``."""
-    path = os.path.join(RESULTS_DIR, "efficiency.json")
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    else:  # pragma: no cover - efficiency benchmark not run yet
-        payload = {"experiment": "efficiency", "description": "",
-                   "parameters": {}, "rows": []}
-    rows = [row for row in payload.get("rows", [])
-            if not str(row.get("model", "")).startswith("serving-")]
     common = {"dataset": "FBDB15K", "entities": report["entities"],
               "requests": report["requests"]}
-    rows.append({**common, "model": "serving-sequential",
-                 "qps": round(report["sequential"]["qps"], 1),
-                 "p50_ms": round(report["sequential"]["p50_ms"], 3),
-                 "p99_ms": round(report["sequential"]["p99_ms"], 3)})
-    rows.append({**common, "model": "serving-microbatched",
-                 "clients": report["clients"],
-                 "qps": round(report["served"]["qps"], 1),
-                 "p50_ms": round(report["served"]["p50_ms"], 3),
-                 "p99_ms": round(report["served"]["p99_ms"], 3),
-                 "cache_hit_rate": round(report["served"]["cache_hit_rate"], 4),
-                 "batches": report["served"]["batches"],
-                 "speedup": round(report["speedup"], 2)})
-    payload["rows"] = rows
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    splice_efficiency_rows("serving-", [
+        {**common, "model": "serving-sequential",
+         "qps": round(report["sequential"]["qps"], 1),
+         "p50_ms": round(report["sequential"]["p50_ms"], 3),
+         "p99_ms": round(report["sequential"]["p99_ms"], 3)},
+        {**common, "model": "serving-microbatched",
+         "clients": report["clients"],
+         "qps": round(report["served"]["qps"], 1),
+         "p50_ms": round(report["served"]["p50_ms"], 3),
+         "p99_ms": round(report["served"]["p99_ms"], 3),
+         "cache_hit_rate": round(report["served"]["cache_hit_rate"], 4),
+         "batches": report["served"]["batches"],
+         "speedup": round(report["speedup"], 2)},
+    ])
 
 
 def test_serving_sustains_concurrent_load(benchmark, bench_scale, tmp_path):

@@ -31,6 +31,17 @@ resulting :class:`~repro.core.similarity.TopKSimilarity` is flagged
 ``approximate`` and every consumer that would be silently lossy on it
 (CSLS ranking, exact-row fallbacks) refuses instead of degrading.
 
+One kernel scores every candidate cell — the decode gather, serving's
+row decode, the incremental re-decode and merge, and the escalation
+probes: :func:`edge_dot_products`.  It finds the rectangles whose
+columns share one row set (IVF buckets are disjoint, and every row that
+probes a bucket gets all of its members, as FAISS's IVF-Flat scans a
+query block against a bucket) and scores each with one BLAS-free
+``einsum("rd,cd->rc")`` per round, which gives every cell the arithmetic
+of the per-edge ``einsum("ed,ed->e")`` whatever rectangle it sits in;
+the remaining cells keep that per-edge form.  A cell's bits therefore
+depend only on its own two rows.
+
 Work is metered in *similarity cells* (one cell is one d-dimensional dot
 product) to every open :func:`flops_counter`, so benchmarks can enforce a
 FLOPs budget relative to the ``n_s · n_t`` exhaustive decode.  Candidate
@@ -376,34 +387,130 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms
 
 
-#: Bytes of one gathered operand per chunk of :func:`edge_dot_products`.
-#: Both operands of a chunk then stay in cache, instead of a whole
-#: block's gathered rows streaming through memory once per round.
+#: Bytes of one gathered operand per einsum call of
+#: :func:`edge_dot_products`: the row count of a rectangle tile, and the
+#: edge count of a per-edge chunk (the edges no rectangle covers).  Both
+#: operands of a call then stay in cache, instead of a whole block's
+#: gathered rows streaming through memory once per round.
 GATHER_CHUNK_BYTES = 1 << 18
+
+#: Smallest shared-row-set rectangle, in cells, that
+#: :func:`edge_dot_products` scores as one block; the edges of smaller
+#: groups take the per-edge path, where a call's fixed cost is shared by
+#: a whole chunk of edges.  Finding the rectangles costs about two dozen
+#: numpy calls, so a call with fewer than ``16 * RECTANGLE_MIN_CELLS``
+#: edges skips it (one source row aside, which needs no search): at
+#: d = 128 and 3 rounds, IVF-shaped calls below ~4,000 edges ran no
+#: faster with it.
+RECTANGLE_MIN_CELLS = 256
+
+#: Odd 64-bit multiplier (Fibonacci hashing) of the column signatures.
+_SIGNATURE_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _shared_row_rectangles(rows: np.ndarray, cols: np.ndarray):
+    """Rectangles of edges whose columns share one row set; the other edges.
+
+    Returns ``(rectangles, leftover)``.  Each rectangle is
+    ``(block_rows, block_cols, edges)`` with ``edges[i, j]`` the id of the
+    edge ``(block_rows[i], block_cols[j])``, checked against ``rows`` and
+    ``cols``; ``leftover`` holds every other edge id.  Columns are grouped
+    by their edge count and a signature (the sum of a 24-bit hash of
+    their rows, exact in float64, so edge order cannot move it).  A
+    group is a rectangle when its area reaches ``RECTANGLE_MIN_CELLS``
+    and its edges, in input order, list the same columns in the same order
+    for every row.  IVF candidate sets are made of such groups: every row
+    that probes a bucket gets all of its members.  A signature collision,
+    a duplicate edge or unsorted input only sends edges to ``leftover``.
+    One source row is one rectangle, found without grouping.
+    """
+    num_edges = len(rows)
+    if num_edges and rows[0] == rows[-1] and rows.min() == rows.max():
+        return [(rows[:1], cols, np.arange(num_edges)[None, :])], rows[:0]
+    if num_edges < max(1, 16 * RECTANGLE_MIN_CELLS):
+        return [], np.arange(num_edges)
+    num_cols = int(cols.max()) + 1
+    counts = np.bincount(cols, minlength=num_cols)
+    hashes = rows.astype(np.uint64)
+    hashes *= _SIGNATURE_MULTIPLIER
+    hashes >>= np.uint64(40)
+    signatures = np.bincount(cols, weights=hashes, minlength=num_cols)
+    del hashes
+    columns = np.flatnonzero(counts)
+    columns = columns[np.lexsort((signatures[columns], counts[columns]))]
+    heights = counts[columns]
+    first = np.ones(len(columns), dtype=bool)
+    first[1:] = ((heights[1:] != heights[:-1])
+                 | (signatures[columns[1:]] != signatures[columns[:-1]]))
+    starts = np.flatnonzero(first)
+    widths = np.diff(starts, append=len(columns))
+    heights = heights[starts]
+    kept = widths * heights >= RECTANGLE_MIN_CELLS
+    num_groups = int(kept.sum())
+    if not num_groups:
+        return [], np.arange(num_edges)
+    # Group ids (the leftover id last) are few, so 16-bit keys let the
+    # stable sort run as a radix sort; it lists each group's edges in
+    # input order.
+    group_of_column = np.full(num_cols, num_groups, dtype=np.uint16
+                              if num_groups < 1 << 16 else np.int64)
+    group_of_column[columns] = np.repeat(
+        np.where(kept, np.cumsum(kept) - 1, num_groups), widths)
+    order = np.argsort(group_of_column[cols], kind="stable")
+    rectangles, rejected = [], []
+    lo = 0
+    for height, width in zip(heights[kept], widths[kept]):
+        edges = order[lo:lo + height * width].reshape(height, width)
+        lo += height * width
+        block_rows, block_cols = rows[edges[:, 0]], cols[edges[0]]
+        if ((rows[edges] == block_rows[:, None]).all()
+                and (cols[edges] == block_cols).all()):
+            rectangles.append((block_rows, block_cols, edges))
+        else:
+            rejected.append(edges.ravel())
+    return rectangles, np.concatenate([order[lo:]] + rejected)
 
 
 def edge_dot_products(source_states, target_states, rows: np.ndarray,
                       cols: np.ndarray, dtype) -> np.ndarray:
     """Round-averaged dot product of every edge ``(rows[e], cols[e])``, float64.
 
-    Each edge is one ``einsum`` over its own two rows per round, summed
-    over the rounds in order from a ``dtype`` zero, then averaged in
-    float64.  Rows are gathered a chunk of edges at a time
-    (``GATHER_CHUNK_BYTES`` per operand), so the transient is
-    ``O(chunk · d)`` instead of ``O(edges · d)``; no edge's value depends
-    on which edges share its chunk, so the chunking moves no bit.
+    Per round, each edge is the ``einsum`` dot product of its own two rows;
+    the rounds are summed in order from a ``dtype`` zero, then averaged in
+    float64.  Edges are scored as rectangles where they form them
+    (:func:`_shared_row_rectangles`): one ``einsum("rd,cd->rc")`` per
+    round over C-contiguous gathers of the rectangle's rows and columns.
+    That ``einsum`` calls no BLAS and gives every cell exactly the
+    arithmetic of the per-edge ``einsum("ed,ed->e")``, whatever rectangle
+    the cell sits in (a strided operand would not: gathers are always
+    contiguous copies), so the grouping moves no bit.  Every other edge is
+    scored per edge.  Each call gathers at most ``GATHER_CHUNK_BYTES`` per
+    operand: rectangles are tiled, per-edge work is chunked, so the
+    transient is ``O(chunk · d)`` instead of ``O(edges · d)``.
     """
     num_rounds = len(source_states)
     row_bytes = source_states[0].shape[1] * source_states[0].dtype.itemsize
     chunk = max(1, GATHER_CHUNK_BYTES // max(1, row_bytes))
     values = np.empty(len(rows), dtype=np.float64)
-    for lo in range(0, len(rows), chunk):
-        chunk_rows, chunk_cols = rows[lo:lo + chunk], cols[lo:lo + chunk]
-        total = np.zeros(len(chunk_rows), dtype=dtype)
+    rectangles, leftover = _shared_row_rectangles(rows, cols)
+    for block_rows, block_cols, edges in rectangles:
+        for r0 in range(0, len(block_rows), chunk):
+            for c0 in range(0, len(block_cols), chunk):
+                tile_rows = block_rows[r0:r0 + chunk]
+                tile_cols = block_cols[c0:c0 + chunk]
+                total = np.zeros((len(tile_rows), len(tile_cols)), dtype=dtype)
+                for source, target in zip(source_states, target_states):
+                    total = total + np.einsum("rd,cd->rc", source[tile_rows],
+                                              target[tile_cols])
+                values[edges[r0:r0 + chunk, c0:c0 + chunk]] = total
+    for lo in range(0, len(leftover), chunk):
+        chunk_edges = leftover[lo:lo + chunk]
+        chunk_rows, chunk_cols = rows[chunk_edges], cols[chunk_edges]
+        total = np.zeros(len(chunk_edges), dtype=dtype)
         for source, target in zip(source_states, target_states):
             total = total + np.einsum("ed,ed->e", source[chunk_rows],
                                       target[chunk_cols])
-        values[lo:lo + chunk] = total
+        values[chunk_edges] = total
     if num_rounds > 1:
         values /= num_rounds
     return values
@@ -492,9 +599,20 @@ class IVFIndex:
                 # remaining iteration is a bit-identical no-op — skip them.
                 break
             previous_assignments = assignments
-            sums = np.zeros_like(centroids)
-            np.add.at(sums, assignments, train)
+            # Each cluster's members are added in id order onto a +0.0 row,
+            # one at a time: np.add.at's own arithmetic, without its
+            # per-element scatter.  ``accumulate`` adds sequentially (its
+            # last row is the running sum); ``reduce`` and ``reduceat`` sum
+            # pairwise and move bits.
             counts = np.bincount(assignments, minlength=self.n_clusters)
+            members = np.argsort(assignments, kind="stable")
+            ends = np.cumsum(counts)
+            sums = np.zeros_like(centroids)
+            for cluster in np.flatnonzero(counts):
+                segment = train[members[ends[cluster] - counts[cluster]:
+                                        ends[cluster]]]
+                sums[cluster] += np.add.accumulate(segment, axis=0,
+                                                   out=segment)[-1]
             occupied = counts > 0
             centroids[occupied] = sums[occupied] / counts[occupied, None]
             if not occupied.all():

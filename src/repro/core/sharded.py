@@ -126,7 +126,7 @@ def scan_partials_parallel(source_norm: list[np.ndarray],
 
     Each shard runs :func:`~repro.core.similarity.scan_rows`: block GEMMs
     when ``row_candidates`` is ``None`` (``csls_k_col`` sets the CSLS
-    column depth), otherwise per-edge gathers over the already padded
+    column depth), otherwise candidate gathers over the already padded
     ``row_candidates``.  Returns the per-shard
     :class:`~repro.core.similarity.PartialTopK` list in shard order —
     callers merge with :func:`~repro.core.similarity.merge_partial_topk`,

@@ -446,9 +446,10 @@ def blockwise_topk(source, target, k: int = 10,
         ``k`` of the CSLS local-scaling means (10 in the literature).
     row_candidates:
         Optional per-row candidate sets from :mod:`repro.core.ann`; the
-        block loop then gathers only the candidate cells (one per-edge dot
-        product each, :func:`compute_partial_topk_candidates`) instead of
-        full block matmuls, dropping decode FLOPs below ``O(n_s · n_t)``.
+        block loop then gathers only the candidate cells (each the
+        ``einsum`` dot product of its own two rows,
+        :func:`compute_partial_topk_candidates`) instead of full block
+        matmuls, dropping decode FLOPs below ``O(n_s · n_t)``.
         The result is flagged ``approximate`` and carries no CSLS
         statistics.  ``None`` or a *complete* candidate set (every row
         holds every column — e.g. IVF with ``nprobe == n_clusters``) runs
@@ -540,7 +541,7 @@ def scan_rows(source_norm: list[np.ndarray], target_norm: list[np.ndarray],
     """Reduce rows [row_start, row_stop) with the kernel the candidates pick.
 
     The exhaustive block-GEMM scan (:func:`compute_partial_topk`) when
-    ``row_candidates`` is ``None``, the per-edge candidate gather
+    ``row_candidates`` is ``None``, the candidate gather
     (:func:`compute_partial_topk_candidates`, candidates already padded to
     ``k_keep``) otherwise.  The serial decode and every sharded worker
     run this one dispatch.
@@ -629,13 +630,15 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
 
     ``row_candidates`` must already be padded to ``k_keep`` (row-local, so
     padding before or after sharding is equivalent).  Each candidate cell
-    is one per-edge ``einsum`` dot product per round, computed from that
-    cell's own source and target rows only
-    (:func:`~repro.core.ann.edge_dot_products` gathers them in cache-sized
-    chunks of edges), so neither shard membership, nor the chunking, nor
-    which other rows share the call (a served row subset, an incremental
-    re-decode) can change a value.  The kernel meters nothing: the caller
-    charges ``computed_cells``.
+    is one ``einsum`` dot product per round, computed from that cell's own
+    source and target rows only: :func:`~repro.core.ann.edge_dot_products`
+    scores a block's shared-row-set rectangles (an IVF block's probed
+    buckets) as ``einsum("rd,cd->rc")`` tiles and the other cells in
+    cache-sized chunks of edges, and both give a cell the same
+    arithmetic.  So neither shard membership, nor the rectangles and
+    chunks, nor which other rows share the call (a served row subset, an
+    incremental re-decode) can change a value.  The kernel meters nothing:
+    the caller charges ``computed_cells``.
     """
     dtype = np.dtype(dtype)
     indptr, cand_indices = row_candidates.indptr, row_candidates.indices

@@ -119,8 +119,8 @@ def _merge_dirty_cells(old_table: TopKSimilarity, old_padded: RowCandidates,
     new decode score (both padded to the table's width ``k``).  A row's
     dirty cells are its new candidates whose target is new or moved
     (``dirty_target``) or that were not an old candidate; each is one
-    :func:`~repro.core.ann.edge_dot_products` edge, the decode's own
-    per-edge kernel, so it carries the bits a full decode gives it.  Every
+    :func:`~repro.core.ann.edge_dot_products` edge, scored by the decode's
+    own kernel, so it carries the bits a full decode gives it.  Every
     other new candidate was scored before with the same bits.  The row's
     stored entries that are still candidates and did not move are merged
     with its dirty cells by (score desc, id asc).

@@ -376,9 +376,9 @@ class Aligner:
         """Ranked candidates for selected rows — the serving fast path.
 
         Candidate-restricted artifacts decode only the requested rows:
-        their candidate rows are selected and padded, then gathered one
-        per-edge dot product each by
-        :func:`~repro.core.similarity.compute_partial_topk_candidates`, so
+        their candidate rows are selected and padded, then scored by
+        :func:`~repro.core.similarity.compute_partial_topk_candidates`,
+        each cell the ``einsum`` dot product of its own two rows, so
         cost scales with the batch, not the corpus.  Every cell is
         computed from its own two rows, independent of which other rows
         share the batch, which is what makes micro-batched, single-row

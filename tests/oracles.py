@@ -7,9 +7,11 @@ straightforward formulations collected here:
   blockwise top-k, approximate candidate decodes — against dense
   similarity matrices, per-test-pair Python loops, full ``np.sort``
   reductions and quadratic scans;
-* the candidate gather — chunked per-edge dot products and the scatter
-  column max — against one unchunked gather of every edge and a
-  ``np.lexsort`` of every cell;
+* the candidate gather — rectangle and chunked per-edge dot products and
+  the scatter column max — against one unchunked gather of every edge and
+  a ``np.lexsort`` of every cell;
+* the IVF fit — k-means sums added cluster by cluster — against the
+  ``np.add.at`` scatter it replaced;
 * the CSR graph operators — adjacency, normalisation, Laplacian, both
   Dirichlet-energy forms, Semantic Propagation, the Prop. 4 closed form and
   the edge-list GAT — against the paper's dense ``n x n`` formulas;
@@ -44,8 +46,10 @@ __all__ = [
     "reference_csls",
     "reference_mutual_pairs",
     "reference_topk",
+    "reference_edge_dot_products",
     "reference_candidate_topk",
     "reference_escalated_candidates",
+    "reference_ivf_index",
     "reference_adjacency",
     "reference_normalized_adjacency",
     "reference_laplacian",
@@ -196,8 +200,14 @@ def reference_topk(similarity, k: int) -> tuple[np.ndarray, np.ndarray]:
     return indices, scores
 
 
-def _unchunked_edge_values(source_states, target_states, rows, cols, dtype):
-    """Round-averaged per-edge dot products from one gather of every edge."""
+def reference_edge_dot_products(source_states, target_states, rows, cols,
+                                dtype) -> np.ndarray:
+    """Round-averaged per-edge dot products from one gather of every edge.
+
+    One ``einsum("ed,ed->e")`` per round over all edges at once: no
+    chunks, no rectangles — what ``repro.core.ann.edge_dot_products``
+    must reproduce bit for bit.
+    """
     values = np.zeros(len(cols), dtype=dtype)
     for source, target in zip(source_states, target_states):
         values = values + np.einsum("ed,ed->e", source[rows], target[cols])
@@ -223,7 +233,7 @@ def reference_candidate_topk(source_norm, target_norm, row_candidates,
     num_cols = row_candidates.num_columns
     total_rows = row_stop - row_start
     all_counts = np.diff(indptr[row_start:row_stop + 1])
-    all_values = _unchunked_edge_values(
+    all_values = reference_edge_dot_products(
         source_norm, target_norm,
         np.repeat(np.arange(row_start, row_stop), all_counts),
         cand_indices[indptr[row_start]:indptr[row_stop]], dtype)
@@ -303,6 +313,69 @@ def reference_escalated_candidates(index, queries, slack: float = 0.0) -> RowCan
     return RowCandidates.from_pairs(np.concatenate(all_rows),
                                     np.concatenate(all_cols), len(queries),
                                     len(index.vectors))
+
+
+def reference_ivf_index(vectors, n_clusters=None, kmeans_iters: int = 8,
+                        seed: int = 0, init_centroids=None,
+                        train_size=None) -> dict:
+    """``IVFIndex``'s fit with every k-means sum scattered by ``np.add.at``.
+
+    The formulation the index used before it summed each cluster's members
+    on its own: the same seeded draws, Lloyd updates, reseeding of empty
+    cells, convergence exit, final assignment, bucket CSR and radii, with
+    unchunked assignment passes (the index chunks at
+    ``IVFIndex.ASSIGN_CHUNK`` rows, more than any test draws).  Returns
+    ``centroids``, ``assignments``, ``radii``, ``bucket_indptr`` and
+    ``bucket_indices``.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    num = len(vectors)
+    if n_clusters is None:
+        n_clusters = max(1, int(round(np.sqrt(num))))
+    n_clusters = min(int(n_clusters), num)
+    rng = np.random.default_rng(seed)
+    if train_size is not None and int(train_size) < num:
+        size = max(int(train_size), n_clusters)
+        train = vectors[np.sort(rng.choice(num, size=size, replace=False))]
+    else:
+        train = vectors
+    if (init_centroids is not None
+            and init_centroids.shape == (n_clusters, vectors.shape[1])):
+        centroids = np.asarray(init_centroids, dtype=np.float64).copy()
+    else:
+        centroids = train[rng.choice(len(train), size=n_clusters,
+                                     replace=False)].copy()
+
+    def assign(points, centroids):
+        half_norms = 0.5 * np.sum(centroids ** 2, axis=1)
+        return np.argmax(points @ centroids.T - half_norms[None, :], axis=1)
+
+    previous = None
+    for _ in range(int(kmeans_iters)):
+        assignments = assign(train, centroids)
+        if previous is not None and np.array_equal(assignments, previous):
+            break
+        previous = assignments
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignments, train)
+        counts = np.bincount(assignments, minlength=n_clusters)
+        occupied = counts > 0
+        centroids[occupied] = sums[occupied] / counts[occupied, None]
+        if not occupied.all():
+            distances = np.linalg.norm(train - centroids[assignments], axis=1)
+            farthest = np.argsort(-distances)
+            centroids[~occupied] = train[farthest[:int((~occupied).sum())]]
+            previous = None
+    assignments = assign(vectors, centroids)
+    radii = np.zeros(n_clusters, dtype=np.float64)
+    np.maximum.at(radii, assignments,
+                  np.linalg.norm(vectors - centroids[assignments], axis=1))
+    bucket_indptr = np.zeros(n_clusters + 1, dtype=np.int64)
+    np.cumsum(np.bincount(assignments, minlength=n_clusters),
+              out=bucket_indptr[1:])
+    return {"centroids": centroids, "assignments": assignments,
+            "radii": radii, "bucket_indptr": bucket_indptr,
+            "bucket_indices": np.argsort(assignments, kind="stable")}
 
 
 # ---------------------------------------------------------------------------
