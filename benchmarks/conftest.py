@@ -8,7 +8,11 @@ minutes on a laptop CPU; set the environment variable ``REPRO_BENCH_FULL=1``
 to run the complete grids of the paper at a larger scale.
 
 Each benchmark prints the regenerated table so the numbers can be compared
-with ``EXPERIMENTS.md`` and with the paper.
+with ``EXPERIMENTS.md`` and with the paper.  The tables land in the
+committed ``results/`` directory only when ``REPRO_WRITE_RESULTS=1`` (CI's
+benchmark job sets it); otherwise every writer, the efficiency-row splice
+included, writes to a temporary directory of the pytest session, so a
+local run leaves no diff.
 """
 
 from __future__ import annotations
@@ -48,20 +52,36 @@ def full_grids() -> bool:
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
+#: Whether this session regenerates the committed ``results/`` tables.
+WRITE_RESULTS = os.environ.get("REPRO_WRITE_RESULTS", "0") == "1"
+
+_output_dir = RESULTS_DIR
+
+
+@pytest.fixture(scope="session", autouse=True)
+def results_dir(tmp_path_factory) -> str:
+    """Where this session's tables go: ``results/`` or a session temp dir."""
+    global _output_dir
+    _output_dir = (RESULTS_DIR if WRITE_RESULTS
+                   else str(tmp_path_factory.mktemp("results")))
+    return _output_dir
+
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` once under pytest-benchmark timing and persist its tables.
 
-    The regenerated table is written to ``results/<experiment>.txt`` (plain
-    text) and ``results/<experiment>.json`` so that ``EXPERIMENTS.md`` and
-    downstream analysis can read the numbers without re-running anything.
+    The regenerated table is written to ``<experiment>.txt`` (plain text)
+    and ``<experiment>.json`` in the session's results directory
+    (``results/`` under ``REPRO_WRITE_RESULTS=1``) so that
+    ``EXPERIMENTS.md`` and downstream analysis can read the numbers
+    without re-running anything.
     """
     result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    text_path = os.path.join(RESULTS_DIR, f"{result.experiment}.txt")
+    os.makedirs(_output_dir, exist_ok=True)
+    text_path = os.path.join(_output_dir, f"{result.experiment}.txt")
     with open(text_path, "w", encoding="utf-8") as handle:
         handle.write(result.to_table() + "\n")
-    result.to_json(os.path.join(RESULTS_DIR, f"{result.experiment}.json"))
+    result.to_json(os.path.join(_output_dir, f"{result.experiment}.json"))
     return result
 
 
@@ -71,7 +91,10 @@ SPLICED_PREFIXES = ("incremental-", "outofcore-", "serving-")
 
 
 def splice_efficiency_rows(prefix: str, rows: list[dict]) -> None:
-    """Replace the ``prefix`` rows of ``results/efficiency.json`` with ``rows``.
+    """Replace the ``prefix`` rows of ``efficiency.json`` with ``rows``.
+
+    The file is the session's (``results/efficiency.json`` under
+    ``REPRO_WRITE_RESULTS=1``).
 
     The Sec. V-E rows that ``test_efficiency.py`` writes stay first, in the
     order the experiment writes them; the spliced rows follow, sorted by
@@ -80,8 +103,8 @@ def splice_efficiency_rows(prefix: str, rows: list[dict]) -> None:
     """
     if prefix not in SPLICED_PREFIXES:
         raise ValueError(f"unknown spliced-row prefix {prefix!r}")
-    path = os.path.join(RESULTS_DIR, "efficiency.json")
-    os.makedirs(RESULTS_DIR, exist_ok=True)
+    path = os.path.join(_output_dir, "efficiency.json")
+    os.makedirs(_output_dir, exist_ok=True)
     if os.path.exists(path):
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)

@@ -121,13 +121,15 @@ def scan_partials_parallel(source_norm: list[np.ndarray],
                            k_keep: int,
                            csls_k_col: int = 0,
                            row_candidates: RowCandidates | None = None,
-                           dtype=np.float64):
+                           dtype=np.float64,
+                           column_stats: bool = True):
     """Scan all source rows as ``num_workers`` forked row shards.
 
     Each shard runs :func:`~repro.core.similarity.scan_rows`: block GEMMs
     when ``row_candidates`` is ``None`` (``csls_k_col`` sets the CSLS
     column depth), otherwise candidate gathers over the already padded
-    ``row_candidates``.  Returns the per-shard
+    ``row_candidates``; ``column_stats`` says whether each shard reduces
+    the column statistics.  Returns the per-shard
     :class:`~repro.core.similarity.PartialTopK` list in shard order —
     callers merge with :func:`~repro.core.similarity.merge_partial_topk`,
     whose result is invariant to that order.
@@ -141,7 +143,7 @@ def scan_partials_parallel(source_norm: list[np.ndarray],
         "target_norm": target_norm,
         "scan": dict(k_keep=k_keep, csls_k_col=csls_k_col,
                      block_size=block_size, row_candidates=row_candidates,
-                     dtype=dtype),
+                     dtype=dtype, column_stats=column_stats),
         "report_rss": True,
     }
 

@@ -11,11 +11,16 @@ configurable chunks and, per block, reduces immediately to
 
 * the exact top-``k`` neighbours and scores of every source row
   in (score desc, index asc) order, ties at the k-th score included,
-* the running column max / argmax needed for mutual-NN selection, and
-* the row/column k-NN mean similarities needed for CSLS,
+* on request (``column_stats=True``), the running column max / argmax
+  needed for mutual-NN selection and the row/column k-NN mean
+  similarities needed for CSLS,
 
-so peak memory is ``O(block · n_t)`` instead of ``O(n_s · n_t)``.  The
-normalised embeddings and the ``block_size`` are kept
+so peak memory is ``O(block · n_t)`` instead of ``O(n_s · n_t)``.  A
+cosine decode reads neither column reduction, so evaluation, serving and
+ingest skip them; the scan then holds at most two block-sized arrays at
+once (the block and one round's product, or the block and its
+``argpartition`` indices) and frees each block before it computes the
+next.  The normalised embeddings and the ``block_size`` are kept
 (``O((n_s + n_t) · d)``) so any row can be re-materialised exactly, by
 replaying its scan block — the evaluation fallback when a gold target
 falls outside the stored top-``k``.
@@ -77,9 +82,13 @@ class TopKSimilarity:
     ``approximate`` marks a decode restricted to per-row candidate sets
     (``row_candidates``): uncomputed cells are unknown, so the exact-row
     fallbacks and the CSLS statistics are unavailable — consumers that
-    would be silently lossy raise instead.  ``computed_cells`` counts the
-    dot products the decode actually performed (the FLOPs proxy the
-    scaling benchmarks enforce).
+    would be silently lossy raise instead.  The column statistics —
+    ``col_max`` / ``col_argmax`` for mutual-NN, ``row_knn_mean`` /
+    ``col_knn_mean`` for CSLS (exhaustive decodes only) — are ``None``
+    unless the decode asked for them (``column_stats``), and the methods
+    reading them raise.  ``computed_cells`` counts the dot products the
+    decode actually performed (the FLOPs proxy the scaling benchmarks
+    enforce).
     ``block_size`` is the row grid the scan ran on; :meth:`row_scores`
     replays its blocks.
 
@@ -96,11 +105,11 @@ class TopKSimilarity:
     csls_k: int
     indices: np.ndarray            # (n_s, k) target ids
     scores: np.ndarray             # (n_s, k) descending
-    col_max: np.ndarray            # (n_t,)
-    col_argmax: np.ndarray         # (n_t,) source ids (first max wins)
-    row_knn_mean: np.ndarray       # (n_s,)  CSLS r_T
-    col_knn_mean: np.ndarray       # (n_t,) CSLS r_S
-    block_size: int                # source rows per scan block
+    col_max: np.ndarray | None       # (n_t,)
+    col_argmax: np.ndarray | None    # (n_t,) source ids (first max wins)
+    row_knn_mean: np.ndarray | None  # (n_s,)  CSLS r_T
+    col_knn_mean: np.ndarray | None  # (n_t,) CSLS r_S
+    block_size: int                  # source rows per scan block
     dtype: np.dtype = np.dtype(np.float64)
     approximate: bool = False
     computed_cells: int = 0
@@ -116,7 +125,7 @@ class TopKSimilarity:
     @property
     def num_columns(self) -> int:
         """Number of target columns."""
-        return len(self.col_max)
+        return self.shape[1]
 
     def is_exhaustive(self) -> bool:
         """True when every decoded column is stored, i.e. top-k is the full row."""
@@ -130,6 +139,14 @@ class TopKSimilarity:
                 "candidates='exhaustive' (or, for mutual-NN pseudo-seeding, "
                 "an exact-escalation IVF decode)")
 
+    def _require_column_stats(self, operation: str, statistic) -> None:
+        if statistic is None:
+            raise ValueError(
+                f"{operation} needs the decode's column statistics, which "
+                "this decode skipped; decode with blockwise_topk(..., "
+                "column_stats=True) (an Aligner or Evaluator asks for them "
+                "when it ranks by CSLS)")
+
     # ------------------------------------------------------------------
     def row_scores(self, source_ids) -> np.ndarray:
         """Exact similarity rows over every target column: the scan's own cells.
@@ -141,24 +158,33 @@ class TopKSimilarity:
         decodes too), where a product over fewer rows would round
         differently.  Each touched block costs one ``O(block · n_t)``
         product, charged to :func:`count_dot_products`; a single id pays
-        for its whole block.
+        for its whole block.  Rows of one block are taken straight from
+        its product, so the transient is that block and the returned rows.
         """
         self._require_exact("row_scores")
         ids = np.asarray(source_ids, dtype=np.int64)
         flat = ids.reshape(-1)
         if len(flat) and (flat.min() < 0 or flat.max() >= self.num_source):
             raise IndexError(f"source ids must lie in [0, {self.num_source})")
-        rows = np.empty((len(flat), self.num_columns), dtype=np.float64)
+        shape = ids.shape + (self.num_columns,)
         blocks = flat // self.block_size
-        for block in np.unique(blocks):
+        touched = np.unique(blocks)
+        if len(touched) == 1:
+            start = int(touched[0]) * self.block_size
+            return self._replay(start)[flat - start].reshape(shape)
+        rows = np.empty((len(flat), self.num_columns), dtype=np.float64)
+        for block in touched:
             start = int(block) * self.block_size
-            stop = min(start + self.block_size, self.num_source)
-            count_dot_products((stop - start) * self.num_columns
-                               * len(self._source_norm))
             members = blocks == block
-            rows[members] = block_scores(self._source_norm, self._target_norm,
-                                         start, stop)[flat[members] - start]
-        return rows.reshape(ids.shape + (self.num_columns,))
+            rows[members] = self._replay(start)[flat[members] - start]
+        return rows.reshape(shape)
+
+    def _replay(self, start: int) -> np.ndarray:
+        """The scan block starting at source row ``start``, metered."""
+        stop = min(start + self.block_size, self.num_source)
+        count_dot_products((stop - start) * self.num_columns
+                           * len(self._source_norm))
+        return block_scores(self._source_norm, self._target_norm, start, stop)
 
     def dense(self) -> np.ndarray:
         """Materialise the full similarity matrix (tests / tiny decodes only)."""
@@ -178,6 +204,7 @@ class TopKSimilarity:
         rows — the CSLS-ranked evaluation path only needs the test rows.
         """
         self._require_exact("csls_scores")
+        self._require_column_stats("csls_scores", self.col_knn_mean)
         indices = self.indices if rows is None else self.indices[rows]
         scores = self.scores if rows is None else self.scores[rows]
         row_means = self.row_knn_mean if rows is None else self.row_knn_mean[rows]
@@ -193,6 +220,7 @@ class TopKSimilarity:
         fallback when a gold rank cannot be proven from the stored top-k.
         """
         self._require_exact("csls_row")
+        self._require_column_stats("csls_row", self.col_knn_mean)
         ids = np.asarray(source_ids, dtype=np.int64)
         return (2.0 * self.row_scores(ids)
                 - self.row_knn_mean[ids][..., None]
@@ -209,6 +237,7 @@ class TopKSimilarity:
         strictly-greater update rule preserves the dense ``argmax``
         first-row-wins tie semantics across blocks.
         """
+        self._require_column_stats("mutual_nearest_pairs", self.col_argmax)
         exclude_source = exclude_source or set()
         exclude_target = exclude_target or set()
         best_ids, best_scores = self.best_target()
@@ -237,7 +266,9 @@ class PartialTopK:
 
     ``col_top`` carries the running per-column top-``csls_k`` values the
     CSLS column means are computed from; it is ``None`` on the
-    candidate-restricted path (no CSLS statistics there).
+    candidate-restricted path (no CSLS statistics there).  A scan run
+    without ``column_stats`` leaves ``col_max``, ``col_argmax`` and
+    ``col_top`` all ``None``.
     ``worker_rss_mb`` is the producing process's peak RSS — summed by the
     merge so the out-of-core benchmark can report multi-process memory
     instead of the parent's RSS alone.
@@ -246,8 +277,8 @@ class PartialTopK:
     rows: np.ndarray               # (m,) global source row ids, ascending
     indices: np.ndarray            # (m, k_keep) column ids (local to decode)
     scores: np.ndarray             # (m, k_keep) descending
-    col_max: np.ndarray            # (n_cols,)
-    col_argmax: np.ndarray         # (n_cols,) global source ids
+    col_max: np.ndarray | None     # (n_cols,)
+    col_argmax: np.ndarray | None  # (n_cols,) global source ids
     col_top: np.ndarray | None     # (<= csls_k_col, n_cols) or None
     csls_k_col: int
     computed_cells: int
@@ -277,16 +308,20 @@ def merge_partials(a: PartialTopK, b: PartialTopK) -> PartialTopK:
     """
     if a.csls_k_col != b.csls_k_col:
         raise ValueError("partials disagree on csls_k_col")
+    if (a.col_max is None) != (b.col_max is None):
+        raise ValueError("partials disagree on column statistics")
     rows = np.concatenate([a.rows, b.rows])
     order = np.argsort(rows, kind="stable")
     rows = rows[order]
     indices = np.concatenate([a.indices, b.indices], axis=0)[order]
     scores = np.concatenate([a.scores, b.scores], axis=0)[order]
 
-    take_b = (b.col_max > a.col_max) | ((b.col_max == a.col_max)
-                                        & (b.col_argmax < a.col_argmax))
-    col_max = np.where(take_b, b.col_max, a.col_max)
-    col_argmax = np.where(take_b, b.col_argmax, a.col_argmax)
+    col_max = col_argmax = None
+    if a.col_max is not None:
+        take_b = (b.col_max > a.col_max) | ((b.col_max == a.col_max)
+                                            & (b.col_argmax < a.col_argmax))
+        col_max = np.where(take_b, b.col_max, a.col_max)
+        col_argmax = np.where(take_b, b.col_argmax, a.col_argmax)
 
     col_top: np.ndarray | None = None
     if a.col_top is not None and b.col_top is not None:
@@ -325,12 +360,13 @@ def _select_topk(block: np.ndarray, k_keep: int) -> np.ndarray:
     re-selected, by a stable sort of the whole row, so every row keeps the
     canonical (score desc, position asc) set — the set a full sort keeps.
     Position 0 of the sorted selection is then the row's first-index
-    ``argmax``.
+    ``argmax``.  The result is a compact ``(rows, k_keep)`` copy, so the
+    ``(rows, width)`` ``argpartition`` output is freed on return.
     """
     width = block.shape[1]
     if k_keep >= width:
         return np.broadcast_to(np.arange(width), block.shape).copy()
-    part = np.argpartition(block, width - k_keep, axis=1)[:, width - k_keep:]
+    part = np.argpartition(block, width - k_keep, axis=1)[:, width - k_keep:].copy()
     kth = np.take_along_axis(block, part[:, :1], axis=1)
     tied = np.flatnonzero(np.count_nonzero(block >= kth, axis=1) > k_keep)
     if len(tied):
@@ -345,15 +381,17 @@ def block_scores(source_norm: list[np.ndarray], target_norm: list[np.ndarray],
     The exhaustive scan's one block product: a GEMM per round at the
     states' dtype, summed in round order, then averaged.  The scan reduces
     it and :meth:`TopKSimilarity.row_scores` replays it; both call it on
-    the same block grid, so their cells agree bit for bit.
+    the same block grid, so their cells agree bit for bit.  Rounds are
+    added and averaged in place (the same IEEE operations), so at most
+    the block and one round's product are alive at once.
     """
     num_rounds = len(source_norm)
     block = source_norm[0][start:stop] @ target_norm[0].T
     for round_index in range(1, num_rounds):
-        block = block + source_norm[round_index][start:stop] @ target_norm[round_index].T
+        block += source_norm[round_index][start:stop] @ target_norm[round_index].T
     block = np.asarray(block, dtype=np.float64)
     if num_rounds > 1:
-        block = block / num_rounds
+        block /= num_rounds
     return block
 
 
@@ -361,7 +399,8 @@ def compute_partial_topk(source_norm: list[np.ndarray],
                          target_norm: list[np.ndarray],
                          row_start: int, row_stop: int,
                          k_keep: int, csls_k_col: int,
-                         block_size: int) -> PartialTopK:
+                         block_size: int, *,
+                         column_stats: bool = True) -> PartialTopK:
     """Exhaustive streamed reduction of the source rows [row_start, row_stop).
 
     The states must already be the engine's normalised tables (the caller
@@ -369,6 +408,8 @@ def compute_partial_topk(source_norm: list[np.ndarray],
     up-front normalisation pass).  ``row_start`` should be a multiple of
     ``block_size`` so a sharded scan issues the very same block GEMMs as
     the single-process one, making the merged decode bit-identical.
+    ``column_stats`` adds the column max/argmax and the CSLS column
+    top-``csls_k_col``; without it those stay ``None``.
     The kernel meters nothing: the caller charges ``computed_cells``.
     """
     num_rows = row_stop - row_start
@@ -376,10 +417,12 @@ def compute_partial_topk(source_norm: list[np.ndarray],
 
     indices = np.empty((num_rows, k_keep), dtype=np.int64)
     scores = np.empty((num_rows, k_keep), dtype=np.float64)
-    col_max = np.full(num_cols, -np.inf, dtype=np.float64)
-    col_argmax = np.zeros(num_cols, dtype=np.int64)
-    # Running top-(csls_k) values per column, merged block by block.
-    col_top = np.empty((0, num_cols), dtype=np.float64)
+    col_max = col_argmax = col_top = None
+    if column_stats:
+        col_max = np.full(num_cols, -np.inf, dtype=np.float64)
+        col_argmax = np.zeros(num_cols, dtype=np.int64)
+        # Running top-(csls_k) values per column, merged block by block.
+        col_top = np.empty((0, num_cols), dtype=np.float64)
 
     for start in range(row_start, row_stop, block_size):
         stop = min(start + block_size, row_stop)
@@ -394,20 +437,24 @@ def compute_partial_topk(source_norm: list[np.ndarray],
         indices[local:local + (stop - start)] = np.take_along_axis(part, order, axis=1)
         scores[local:local + (stop - start)] = np.take_along_axis(part_scores, order, axis=1)
 
-        # (b) running column max / argmax; strictly-greater update keeps the
-        # first (lowest source id) maximiser, matching np.argmax(axis=0).
-        block_max = block.max(axis=0)
-        block_argmax = block.argmax(axis=0)
-        improved = block_max > col_max
-        col_max[improved] = block_max[improved]
-        col_argmax[improved] = start + block_argmax[improved]
+        if column_stats:
+            # (b) running column max / argmax; strictly-greater update keeps
+            # the first (lowest source id) maximiser, matching
+            # np.argmax(axis=0).
+            block_max = block.max(axis=0)
+            block_argmax = block.argmax(axis=0)
+            improved = block_max > col_max
+            col_max[improved] = block_max[improved]
+            col_argmax[improved] = start + block_argmax[improved]
 
-        # (c) running per-column top-k for the CSLS column means.
-        stacked = np.concatenate([col_top, block], axis=0)
-        if stacked.shape[0] > csls_k_col:
-            stacked = np.partition(stacked, stacked.shape[0] - csls_k_col,
-                                   axis=0)[stacked.shape[0] - csls_k_col:]
-        col_top = stacked
+            # (c) running per-column top-k for the CSLS column means.
+            stacked = np.concatenate([col_top, block], axis=0)
+            if stacked.shape[0] > csls_k_col:
+                stacked = np.partition(stacked, stacked.shape[0] - csls_k_col,
+                                       axis=0)[stacked.shape[0] - csls_k_col:]
+            col_top = stacked
+        # Release this block before the next one is computed.
+        del block
 
     return PartialTopK(
         rows=np.arange(row_start, row_stop, dtype=np.int64),
@@ -424,7 +471,8 @@ def blockwise_topk(source, target, k: int = 10,
                    csls_k: int = 10,
                    row_candidates: RowCandidates | None = None,
                    pre_normalized: bool = False,
-                   num_workers: int | None = None) -> TopKSimilarity:
+                   num_workers: int | None = None, *,
+                   column_stats: bool = True) -> TopKSimilarity:
     """Stream the (round-averaged) cosine similarity and reduce to top-k.
 
     Parameters
@@ -438,7 +486,8 @@ def blockwise_topk(source, target, k: int = 10,
         (score desc, id asc) sort.
     block_size:
         Source rows per streamed block; peak transient memory is
-        ``O(block_size · n_t)``.
+        ``O(block_size · n_t)`` — at most two block-sized arrays without
+        ``column_stats``.
     dtype:
         Compute dtype of the streamed products (float64 default; float32
         halves memory traffic for large decodes).
@@ -469,6 +518,15 @@ def blockwise_topk(source, target, k: int = 10,
         by the associative :func:`merge_partials` reducer — bit-identical
         to ``num_workers=None``.  Falls back to the in-process scan when
         forking is unavailable.
+    column_stats:
+        Also reduce the per-column statistics: the running column
+        max/argmax that :meth:`TopKSimilarity.mutual_nearest_pairs` reads
+        and, on an exhaustive scan, the CSLS column top-``csls_k`` behind
+        ``row_knn_mean`` / ``col_knn_mean``.  ``False`` skips them (the
+        table holds ``None`` there, and the CSLS and mutual-NN methods
+        raise); rows, scores, exact ranks and ``approximate`` are the
+        same either way.  Callers ask for what they read: CSLS ranking and
+        mutual-NN pseudo-seeding do, a cosine decode does not.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -521,7 +579,8 @@ def blockwise_topk(source, target, k: int = 10,
         row_candidates = row_candidates.padded(k_keep)
 
     scan = dict(k_keep=k_keep, csls_k_col=csls_k_col, block_size=block_size,
-                row_candidates=row_candidates, dtype=dtype)
+                row_candidates=row_candidates, dtype=dtype,
+                column_stats=column_stats)
     if num_workers is not None and num_workers > 1 and num_source > 1:
         from .sharded import scan_partials_parallel
         partial = merge_partial_topk(scan_partials_parallel(
@@ -531,50 +590,53 @@ def blockwise_topk(source, target, k: int = 10,
     count_dot_products(partial.computed_cells)
     return topk_from_partial(partial, (num_source, num_cols), csls_k=csls_k,
                              dtype=dtype, block_size=block_size,
+                             approximate=row_candidates is not None,
                              source_norm=source_norm, target_norm=target_norm)
 
 
 def scan_rows(source_norm: list[np.ndarray], target_norm: list[np.ndarray],
               row_start: int, row_stop: int, *, k_keep: int, csls_k_col: int,
               block_size: int, row_candidates: RowCandidates | None,
-              dtype) -> PartialTopK:
+              dtype, column_stats: bool) -> PartialTopK:
     """Reduce rows [row_start, row_stop) with the kernel the candidates pick.
 
     The exhaustive block-GEMM scan (:func:`compute_partial_topk`) when
     ``row_candidates`` is ``None``, the candidate gather
     (:func:`compute_partial_topk_candidates`, candidates already padded to
-    ``k_keep``) otherwise.  The serial decode and every sharded worker
-    run this one dispatch.
+    ``k_keep``) otherwise, each with or without its column statistics.
+    The serial decode and every sharded worker run this one dispatch.
     """
     if row_candidates is None:
         return compute_partial_topk(source_norm, target_norm, row_start,
                                     row_stop, k_keep=k_keep,
                                     csls_k_col=csls_k_col,
-                                    block_size=block_size)
+                                    block_size=block_size,
+                                    column_stats=column_stats)
     return compute_partial_topk_candidates(
         source_norm, target_norm, row_candidates, row_start, row_stop,
-        k_keep=k_keep, block_size=block_size, dtype=dtype)
+        k_keep=k_keep, block_size=block_size, dtype=dtype,
+        column_stats=column_stats)
 
 
 def topk_from_partial(partial: PartialTopK, shape: tuple[int, int], *,
-                      csls_k: int, dtype, block_size: int,
+                      csls_k: int, dtype, block_size: int, approximate: bool,
                       source_norm: list[np.ndarray],
                       target_norm: list[np.ndarray]) -> TopKSimilarity:
     """The :class:`TopKSimilarity` of a partial covering every source row.
 
-    With ``col_top`` (an exhaustive scan) the CSLS means are taken over
-    ascending-sorted values, bit-identical to the dense
-    ``np.sort(...)[-k:].mean()`` formulation; without it (a candidate
-    decode or an incremental merge) they are NaN and the table is flagged
-    ``approximate``.  ``computed_cells`` is the partial's own count;
-    ``block_size`` is the grid the partial was scanned on.
+    With ``col_top`` (an exhaustive scan with column statistics) the CSLS
+    means are taken over ascending-sorted values, bit-identical to the
+    dense ``np.sort(...)[-k:].mean()`` formulation; without it (a decode
+    without column statistics, a candidate decode or an incremental
+    merge) they are ``None``.  ``approximate`` says whether the partial
+    was restricted to candidate sets — an exhaustive table without
+    statistics keeps its exact-rank fallback.  ``computed_cells`` is the
+    partial's own count; ``block_size`` is the grid the partial was
+    scanned on.
     """
     num_source, num_cols = shape
-    approximate = partial.col_top is None
-    if approximate:
-        row_knn_mean = np.full(num_source, np.nan)
-        col_knn_mean = np.full(num_cols, np.nan)
-    else:
+    row_knn_mean = col_knn_mean = None
+    if partial.col_top is not None:
         csls_k_row = min(csls_k, num_cols)
         row_knn_mean = np.sort(partial.scores[:, :csls_k_row], axis=1).mean(axis=1)
         col_knn_mean = np.sort(partial.col_top, axis=0).mean(axis=0)
@@ -625,7 +687,8 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
                                     row_candidates: RowCandidates,
                                     row_start: int, row_stop: int,
                                     k_keep: int, block_size: int,
-                                    dtype) -> PartialTopK:
+                                    dtype, *,
+                                    column_stats: bool = True) -> PartialTopK:
     """Candidate-restricted streamed reduction of rows [row_start, row_stop).
 
     ``row_candidates`` must already be padded to ``k_keep`` (row-local, so
@@ -637,8 +700,10 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
     cache-sized chunks of edges, and both give a cell the same
     arithmetic.  So neither shard membership, nor the rectangles and
     chunks, nor which other rows share the call (a served row subset, an
-    incremental re-decode) can change a value.  The kernel meters nothing:
-    the caller charges ``computed_cells``.
+    incremental re-decode) can change a value.  ``column_stats`` adds the
+    column max/argmax over the computed cells; without it both are
+    ``None``.  The kernel meters nothing: the caller charges
+    ``computed_cells``.
     """
     dtype = np.dtype(dtype)
     indptr, cand_indices = row_candidates.indptr, row_candidates.indices
@@ -648,8 +713,10 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
 
     indices = np.empty((total_rows, k_keep), dtype=np.int64)
     scores = np.empty((total_rows, k_keep), dtype=np.float64)
-    col_max = np.full(num_cols, -np.inf, dtype=np.float64)
-    col_argmax = np.zeros(num_cols, dtype=np.int64)
+    col_max = col_argmax = None
+    if column_stats:
+        col_max = np.full(num_cols, -np.inf, dtype=np.float64)
+        col_argmax = np.zeros(num_cols, dtype=np.int64)
     computed = 0
 
     for start in range(row_start, row_stop, block_size):
@@ -682,14 +749,15 @@ def compute_partial_topk_candidates(source_norm: list[np.ndarray],
         indices[local:local + num_rows] = np.take_along_axis(part_ids, order, axis=1)
         scores[local:local + num_rows] = np.take_along_axis(part_scores, order, axis=1)
 
-        # (b) running column max/argmax over the computed cells only.  Per
-        # column pick the block's best cell (cells are in row order, so the
-        # lowest source row wins ties), then apply the strictly-greater
-        # cross-block update.
-        lead_cols, lead = column_max_cells(cols, values, num_cols)
-        improved = values[lead] > col_max[lead_cols]
-        col_max[lead_cols[improved]] = values[lead][improved]
-        col_argmax[lead_cols[improved]] = start + rows_local[lead][improved]
+        if column_stats:
+            # (b) running column max/argmax over the computed cells only.
+            # Per column pick the block's best cell (cells are in row
+            # order, so the lowest source row wins ties), then apply the
+            # strictly-greater cross-block update.
+            lead_cols, lead = column_max_cells(cols, values, num_cols)
+            improved = values[lead] > col_max[lead_cols]
+            col_max[lead_cols[improved]] = values[lead][improved]
+            col_argmax[lead_cols[improved]] = start + rows_local[lead][improved]
 
     return PartialTopK(
         rows=np.arange(row_start, row_stop, dtype=np.int64),

@@ -159,7 +159,9 @@ class TrainingLoop:
             row_candidates = generate_candidates(
                 self.config.candidates, source, target, ann,
                 warm_start=self._ann_warm_start)
-        return blockwise_topk(source, target, row_candidates=row_candidates)
+        # Mutual-NN selection reads the column argmax.
+        return blockwise_topk(source, target, row_candidates=row_candidates,
+                              column_stats=True)
 
     # -- shared skeleton ------------------------------------------------
     def evaluate(self) -> AlignmentMetrics:

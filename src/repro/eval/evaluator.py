@@ -25,7 +25,8 @@ class Evaluator:
     ``encode_batch_size`` pick the encoder path
     (``encode="sampled"`` is the neighbour-sampled training pipeline's
     batched inference).  ``ranking="csls"`` ranks on CSLS-rescaled
-    similarities.  ``candidates="ivf"`` or a registered plug-in generator
+    similarities, and only then does the decode reduce the column
+    statistics.  ``candidates="ivf"`` or a registered plug-in generator
     (with an optional :class:`~repro.core.ann.AnnConfig`) restricts the
     decode to approximate candidate sets; such decodes are scored with honest recall-style ranks
     and refuse CSLS ranking rather than degrade silently.
@@ -64,4 +65,5 @@ class Evaluator:
             row_candidates = generate_candidates(self.candidates, source,
                                                  target, self.ann)
         return self.evaluate_similarity(blockwise_topk(
-            source, target, k=EVALUATION_K, row_candidates=row_candidates))
+            source, target, k=EVALUATION_K, row_candidates=row_candidates,
+            column_stats=self.ranking == "csls"))

@@ -99,14 +99,17 @@ def _gold_ranks(scores: np.ndarray, gold_columns: np.ndarray) -> np.ndarray:
     """Rank of each row's gold column in one batched comparison.
 
     Rank = 1 + number of strictly better candidates + tied candidates
-    before the gold (ties break deterministically on index order).
+    before the gold (ties break deterministically on index order).  Only
+    rows holding a tie besides the gold itself count ties by position.
     """
-    gold_scores = scores[np.arange(len(scores)), gold_columns]
-    better = np.sum(scores > gold_scores[:, None], axis=1)
-    positions = np.arange(scores.shape[1])
-    ties_before = np.sum((scores == gold_scores[:, None])
-                         & (positions[None, :] < gold_columns[:, None]), axis=1)
-    return (1 + better + ties_before).astype(np.int64)
+    gold_scores = scores[np.arange(len(scores)), gold_columns][:, None]
+    ranks = 1 + np.count_nonzero(scores > gold_scores, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(scores == gold_scores, axis=1) > 1)
+    if len(tied):
+        before = np.arange(scores.shape[1]) < gold_columns[tied, None]
+        ranks[tied] += np.count_nonzero((scores[tied] == gold_scores[tied])
+                                        & before, axis=1)
+    return ranks.astype(np.int64)
 
 
 def _ranks_from_topk(topk: TopKSimilarity, test_pairs: np.ndarray,

@@ -56,7 +56,6 @@ from ..core.config import DEFAULT_ENCODE_BATCH
 from ..core.model import encode_sampled
 from ..core.similarity import (DEFAULT_BLOCK_SIZE, PartialTopK,
                                TopKSimilarity, blockwise_topk,
-                               column_max_cells,
                                compute_partial_topk_candidates,
                                merge_partials, topk_from_partial)
 from ..nn import Parameter
@@ -172,27 +171,6 @@ def _merge_dirty_cells(old_table: TopKSimilarity, old_padded: RowCandidates,
     holds = ((scores[:, -1] > kth_scores)
              | ((scores[:, -1] == kth_scores) & (indices[:, -1] <= kth_ids)))
     return rows[filled][holds], indices[holds], scores[holds], cells
-
-
-def _merged_shard(rows: np.ndarray, indices: np.ndarray, scores: np.ndarray,
-                  cells: int, n_t_new: int) -> PartialTopK:
-    """The merged rows of the table as a mergeable shard.
-
-    Column statistics are rebuilt from these rows' top-k entries (ties
-    resolved to the lowest source row, the merge's convention).  Cells
-    computed by an earlier decode that fell outside a row's top-k are gone,
-    so the merged ``col_max`` is a lower bound on the exact column maximum
-    — the row-wise data every evaluation and serving path reads is exact.
-    """
-    col_max = np.full(n_t_new, -np.inf, dtype=np.float64)
-    col_argmax = np.zeros(n_t_new, dtype=np.int64)
-    flat_scores = scores.ravel()
-    columns, cells = column_max_cells(indices.ravel(), flat_scores, n_t_new)
-    col_max[columns] = flat_scores[cells]
-    col_argmax[columns] = rows[cells // indices.shape[1]]
-    return PartialTopK(rows=rows.astype(np.int64), indices=indices,
-                       scores=scores, col_max=col_max, col_argmax=col_argmax,
-                       col_top=None, csls_k_col=0, computed_cells=cells)
 
 
 class IncrementalAligner:
@@ -531,7 +509,9 @@ class IncrementalAligner:
         changes, or when the old candidates were complete.  Complete
         candidates decode through the exhaustive GEMM scan (the rule of
         :func:`~repro.core.similarity.blockwise_topk`), whose bits no
-        per-edge cell reproduces.
+        per-edge cell reproduces.  No table here carries column
+        statistics: ingest tables are served and ranked by cosine, never
+        CSLS-ranked or read by mutual-NN selection.
         """
         n_s_new = len(src_norm[0])
         n_t_new = len(tgt_norm[0])
@@ -539,7 +519,8 @@ class IncrementalAligner:
         if candidates.is_complete():
             return blockwise_topk(src_norm, tgt_norm, k=k,
                                   row_candidates=candidates,
-                                  pre_normalized=True), n_s_new
+                                  pre_normalized=True,
+                                  column_stats=False), n_s_new
         k_keep = min(k, n_t_new)
         padded = candidates.padded(k_keep)
 
@@ -558,20 +539,23 @@ class IncrementalAligner:
         rows = np.flatnonzero(redecode)
         partial = compute_partial_topk_candidates(
             [s[rows] for s in src_norm], tgt_norm, padded.select_rows(rows),
-            0, len(rows), k_keep, DEFAULT_BLOCK_SIZE, np.float64)
+            0, len(rows), k_keep, DEFAULT_BLOCK_SIZE, np.float64,
+            column_stats=False)
         count_dot_products(partial.computed_cells)
         # Remap the shard-local row ids to global ids before merging.
         partial.rows = rows.astype(np.int64)
-        touched = partial.col_max > -np.inf
-        partial.col_argmax[touched] = rows[partial.col_argmax[touched]]
 
         if merged is not None:
-            partial = merge_partials(_merged_shard(*merged, n_t_new), partial)
+            merged_rows, indices, scores, cells = merged
+            partial = merge_partials(PartialTopK(
+                rows=merged_rows, indices=indices, scores=scores,
+                col_max=None, col_argmax=None, col_top=None, csls_k_col=0,
+                computed_cells=cells), partial)
 
         table = topk_from_partial(
             partial, (n_s_new, n_t_new),
             csls_k=old_table.csls_k if old_table is not None else 10,
-            dtype=np.float64, block_size=DEFAULT_BLOCK_SIZE,
+            dtype=np.float64, block_size=DEFAULT_BLOCK_SIZE, approximate=True,
             source_norm=src_norm, target_norm=tgt_norm)
         return table, len(rows)
 

@@ -297,7 +297,11 @@ class Aligner:
         return self._row_candidates
 
     def topk(self, k: int | None = None) -> TopKSimilarity:
-        """The streaming decode at ``k`` (cached per ``k``)."""
+        """The streaming decode at ``k`` (cached per ``k``).
+
+        The table carries the column statistics only when the spec ranks
+        by CSLS, the one reader of them here; a cosine table skips them.
+        """
         k = int(k) if k is not None else self.spec.decode.k
         if k <= 0:
             raise ValueError("k must be positive")
@@ -311,7 +315,8 @@ class Aligner:
                         source_norm, target_norm, k=k,
                         row_candidates=self.row_candidates(),
                         pre_normalized=True,
-                        num_workers=self.spec.decode.num_workers)
+                        num_workers=self.spec.decode.num_workers,
+                        column_stats=self.spec.decode.ranking == "csls")
                     self._topk_cache[k] = cached
         return cached
 
@@ -416,7 +421,7 @@ class Aligner:
             [state[entity_ids] for state in source_norm], target_norm,
             candidates.select_rows(entity_ids).padded(width),
             0, len(entity_ids), k_keep=width, block_size=DEFAULT_BLOCK_SIZE,
-            dtype=np.float64)
+            dtype=np.float64, column_stats=False)
         count_dot_products(partial.computed_cells)
         return TopKAlignment(source_ids=entity_ids, target_ids=partial.indices,
                              scores=partial.scores, approximate=True)

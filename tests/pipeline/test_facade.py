@@ -8,13 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import reference_similarity
 from repro.core import ann as ann_module
+from repro.core.alignment import csls_similarity
 from repro.core.ann import AnnConfig
 from repro.core.config import DESAlignConfig, TrainingConfig
 from repro.core.model import DESAlign
 from repro.core.task import prepare_task
 from repro.core.trainer import Trainer
 from repro.data.benchmarks import load_benchmark
+from repro.eval.metrics import EVALUATION_K, evaluate_alignment
 from repro.kg import AlignmentPair, KGPair
 from repro.pipeline import (
     Aligner,
@@ -191,6 +194,32 @@ class TestCaching:
         assert len(calls) == 1
         assert tables[0] is tables[1]
         assert np.array_equal(tables[0].indices, tables[1].indices)
+
+
+class TestColumnStatistics:
+    """An aligner's table carries the column statistics only under CSLS.
+
+    The 40-entity tables are one scan block, so the dense round average
+    is the scan's own product and the metrics must equal it exactly.
+    """
+
+    def test_cosine_table_skips_them_and_evaluates_exactly(self, fitted):
+        table = fitted.topk(EVALUATION_K)
+        assert not table.approximate
+        for name in ("col_max", "col_argmax", "row_knn_mean", "col_knn_mean"):
+            assert getattr(table, name) is None
+        dense = reference_similarity(*fitted.decode_states())
+        assert fitted.evaluate() == evaluate_alignment(
+            dense, fitted.task.test_pairs)
+
+    def test_csls_table_has_them_and_matches_the_dense_oracle(self, fitted):
+        csls = fitted.with_decode(DecodeSpec(k=5, ranking="csls"))
+        table = csls.topk(EVALUATION_K)
+        for name in ("col_max", "col_argmax", "row_knn_mean", "col_knn_mean"):
+            assert getattr(table, name) is not None
+        dense = reference_similarity(*csls.decode_states())
+        assert csls.evaluate() == evaluate_alignment(
+            csls_similarity(dense), csls.task.test_pairs)
 
 
 class TestLegacyParity:

@@ -12,8 +12,8 @@ layouts and quantised (exact-tie-rich) inputs:
 
 * **Sharded = serial** — a block-aligned sharded scan merged by that
   reducer equals the single-process engine array for array, for any
-  worker count and block size (the bit-identity contract of
-  ``num_workers``).
+  worker count and block size, with or without column statistics (the
+  bit-identity contract of ``num_workers``).
 
 * **Mapped = in-memory** — decoding straight off ``np.load(mmap_mode="r")``
   views of an :class:`~repro.core.store.EmbeddingStore` produces bitwise
@@ -111,18 +111,25 @@ class TestReducerAlgebra:
 
 class TestShardedEqualsSerial:
     @SETTINGS
-    @given(case=tie_rich_case())
-    def test_sharded_scan_is_bit_identical_under_exact_ties(self, case):
+    @given(case=tie_rich_case(), column_stats=st.booleans())
+    def test_sharded_scan_is_bit_identical_under_exact_ties(self, case,
+                                                             column_stats):
         source, target, k, block_size, num_workers = case
-        serial = blockwise_topk(source, target, k=k, block_size=block_size)
+        serial = blockwise_topk(source, target, k=k, block_size=block_size,
+                                column_stats=column_stats)
         sharded = blockwise_topk(source, target, k=k, block_size=block_size,
-                                 num_workers=num_workers)
+                                 num_workers=num_workers,
+                                 column_stats=column_stats)
         assert np.array_equal(serial.indices, sharded.indices)
         assert np.array_equal(serial.scores, sharded.scores)
-        assert np.array_equal(serial.col_max, sharded.col_max)
-        assert np.array_equal(serial.col_argmax, sharded.col_argmax)
-        assert np.array_equal(serial.row_knn_mean, sharded.row_knn_mean)
-        assert np.array_equal(serial.col_knn_mean, sharded.col_knn_mean)
+        statistics = ("col_max", "col_argmax", "row_knn_mean", "col_knn_mean")
+        for name in statistics:
+            if column_stats:
+                assert np.array_equal(getattr(serial, name),
+                                      getattr(sharded, name))
+            else:
+                assert getattr(serial, name) is None
+                assert getattr(sharded, name) is None
         assert serial.computed_cells == sharded.computed_cells
 
 

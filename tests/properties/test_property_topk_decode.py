@@ -14,7 +14,11 @@ Two input regimes are exercised:
   strictly-better + ties-before-gold semantics, CSLS values on kept pairs,
   mutual-NN pair sets — must match it exactly, across random shapes, block
   sizes and ``k`` values (including ``k > n_t``).  This holds only because
-  the exact-rank fallback replays the scan's blocks.
+  the exact-rank fallback replays the scan's blocks.  Each rank case is
+  also decoded without column statistics: its rows, score bits and cell
+  count equal the full decode's, it stays exact (``approximate=False``)
+  and ranks by cosine as the oracle does, and its CSLS and mutual-NN
+  readers raise.
 
 * **Continuous regime** — random Gaussian embeddings, where the block-GEMM
   and the full-GEMM may differ in the last ulp; score values must agree to
@@ -106,6 +110,29 @@ class TestExactTieEquivalence:
             assert evaluate_alignment(topk, test_pairs, ranking=ranking) == \
                 evaluate_alignment(dense, test_pairs, ranking=ranking,
                                    csls_k=csls_k)
+
+        # The same case decoded without column statistics: the same rows,
+        # score bits and cell count, still exact, cosine ranks equal to the
+        # dense oracle, and every CSLS or mutual-NN reader refuses.
+        lean = blockwise_topk(source, target, k=k, block_size=block_size,
+                              csls_k=csls_k, column_stats=False)
+        assert not topk.approximate and not lean.approximate
+        assert np.array_equal(lean.indices, topk.indices)
+        assert lean.scores.dtype == topk.scores.dtype
+        assert lean.scores.tobytes() == topk.scores.tobytes()
+        assert lean.computed_cells == topk.computed_cells
+        for restrict in (True, False):
+            assert np.array_equal(
+                ranks_from_similarity(lean, test_pairs, restrict),
+                ranks_from_similarity(dense, test_pairs, restrict))
+            assert evaluate_alignment(lean, test_pairs, restrict) == \
+                evaluate_alignment(dense, test_pairs, restrict)
+        for read in (lean.csls_scores, lean.mutual_nearest_pairs,
+                     lambda: lean.csls_row(test_pairs[:, 0]),
+                     lambda: ranks_from_similarity(lean, test_pairs,
+                                                   ranking="csls")):
+            with pytest.raises(ValueError, match="column_stats=True"):
+                read()
 
     @SETTINGS
     @given(exact_tie_case())
